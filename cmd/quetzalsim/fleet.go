@@ -2,9 +2,8 @@ package main
 
 // Fleet mode: -fleet N turns one quetzalsim invocation into a population
 // sweep — N heterogeneous devices under correlated skies, streamed through
-// the columnar fleet fold. Single-run output flags (-timeline, -trace,
-// -timelinesvg) do not apply; fleet results are aggregates, not one
-// device's history.
+// the columnar fleet fold. Single-run flags (singleRunFlags) are rejected;
+// fleet results are aggregates, not one device's history.
 
 import (
 	"context"
@@ -25,27 +24,35 @@ type fleetFlags struct {
 	jitter      float64
 	correlation float64
 	progress    bool
+	profile     string // -mcu, a profile registry name
 }
 
+// singleRunFlags name the flags that only shape a single run's output or
+// setup; fleet mode has nothing to apply them to.
+var singleRunFlags = []string{"timeline", "timelinesvg", "trace", "metrics", "cells", "capture", "v"}
+
 // validateFleetFlags rejects single-run flags that make no sense for a
-// population sweep; kept separate from main for table-driven tests.
-func validateFleetFlags(f fleetFlags, timeline, traceOut, tlSVG string) error {
+// population sweep; set reports whether a flag was given on the command
+// line. Kept separate from main for table-driven tests.
+func validateFleetFlags(f fleetFlags, set func(name string) bool) error {
 	if f.devices <= 0 {
 		return nil // single-run mode; fleet flags are ignored
 	}
-	if timeline != "" || traceOut != "" || tlSVG != "" {
-		return fmt.Errorf("-fleet is an aggregate sweep; -timeline/-trace/-timelinesvg apply to single runs only")
+	for _, name := range singleRunFlags {
+		if set(name) {
+			return fmt.Errorf("-fleet is an aggregate sweep; -%s applies to single runs only", name)
+		}
 	}
 	return nil
 }
 
-// runFleet executes the fleet and renders it as JSON (an aggregate +
-// stats document) or a human summary.
-func runFleet(f fleetFlags, system, envName string, events int, seed int64, engine string, faultSpec faults.Spec, jsonOut bool) error {
+// plan resolves the fleet command line into a validated fleet plan.
+func (f fleetFlags) plan(system, envName string, events int, seed int64, engine string, faultSpec faults.Spec) (experiments.FleetPlan, error) {
 	spec := experiments.FleetSpec{
 		Devices:     f.devices,
 		System:      system,
 		Env:         envName,
+		Profile:     f.profile,
 		Events:      events,
 		Seed:        seed,
 		Engine:      engine, // "" → the fleet default (lockstep)
@@ -54,13 +61,14 @@ func runFleet(f fleetFlags, system, envName string, events int, seed int64, engi
 		Correlation: f.correlation,
 		Faults:      faultSpec,
 	}
-	plan, err := spec.Plan()
-	if err != nil {
-		return err
-	}
+	return spec.Plan()
+}
 
+// runFleet executes the fleet and renders it as JSON (an aggregate +
+// stats document) or a human summary.
+func runFleet(plan experiments.FleetPlan, progress, jsonOut bool) error {
 	opts := fleet.Options{}
-	if f.progress {
+	if progress {
 		start := time.Now()
 		opts.OnProgress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "[fleet] %d/%d devices (%.0f/s)\n",

@@ -78,18 +78,14 @@ func resolveSystem(system, policy string) (string, error) {
 	return "qz", nil
 }
 
-// resolveMCU maps the -mcu flag to a device profile.
+// resolveMCU maps the -mcu flag to a device profile through the registry
+// run keys and fleet plans use, so every surface accepts the same names.
 func resolveMCU(name string) (device.Profile, error) {
-	switch name {
-	case "apollo4":
-		return device.Apollo4(), nil
-	case "msp430":
-		return device.MSP430(), nil
-	case "stm32g0":
-		return device.STM32G0(), nil
-	default:
+	p, ok := experiments.ProfileByName(name)
+	if !ok {
 		return device.Profile{}, fmt.Errorf("unknown mcu %q", name)
 	}
+	return p, nil
 }
 
 // validateObsFlags checks the observability flag set plus its interactions
@@ -109,7 +105,7 @@ func main() {
 		system   = flag.String("system", "", `controller under test (default "qz"; see DESIGN.md for ids)`)
 		policyID = flag.String("policy", "", "alias for -system: the policy registry name")
 		envName  = flag.String("env", "crowded", "sensing environment")
-		mcu      = flag.String("mcu", "apollo4", "device profile: apollo4, msp430 or stm32g0")
+		mcu      = flag.String("mcu", "apollo4", "device profile: apollo4, msp430, stm32g0 or apollo4-multiq (single runs and fleets)")
 		events   = flag.Int("events", 300, "number of sensing events")
 		seed     = flag.Int64("seed", 42, "trace and classifier seed")
 		cells    = flag.Int("cells", experiments.ReferenceCells, "harvester cell count")
@@ -154,20 +150,43 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *fleetN > 0 {
-		ff := fleetFlags{devices: *fleetN, shard: *shard, jitter: *jitter,
-			correlation: *corr, progress: *progress}
-		if err := validateFleetFlags(ff, *timeline, *traceOut, *tlSVG); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	profile, err := resolveMCU(*mcu)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	ff := fleetFlags{devices: *fleetN, shard: *shard, jitter: *jitter,
+		correlation: *corr, progress: *progress, profile: *mcu}
+	if err := validateFleetFlags(ff, isFlagSet); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cli := obs.CLI{Trace: *traceOut, Metrics: *metOut, Pprof: *pprofOn}
+	if err := validateObsFlags(cli, *timeline); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if addr, stop, perr := cli.StartPprof(); perr != nil {
+		fmt.Fprintln(os.Stderr, perr)
+		os.Exit(1)
+	} else if addr != "" {
+		defer stop()
+		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
+	}
+
+	if ff.devices > 0 {
 		// Fleet events default low (population sweeps): an unset -events
 		// would make every device as long as a full single run.
 		fleetEvents := 0
 		if isFlagSet("events") {
 			fleetEvents = *events
 		}
-		if err := runFleet(ff, systemID, *envName, fleetEvents, *seed, stepperName, faultSpec, *jsonOut); err != nil {
+		plan, err := ff.plan(systemID, *envName, fleetEvents, *seed, stepperName, faultSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if err := runFleet(plan, ff.progress, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -176,11 +195,6 @@ func main() {
 
 	env, err := resolveEnv(*envName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cli := obs.CLI{Trace: *traceOut, Metrics: *metOut, Pprof: *pprofOn}
-	if err := validateObsFlags(cli, *timeline); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -197,19 +211,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	setup.Profile, err = resolveMCU(*mcu)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	if addr, stop, perr := cli.StartPprof(); perr != nil {
-		fmt.Fprintln(os.Stderr, perr)
-		os.Exit(1)
-	} else if addr != "" {
-		defer stop()
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", addr)
-	}
+	setup.Profile = profile
 
 	// Sinks requested on the command line; nil entries stay unattached.
 	var sinks struct {

@@ -13,7 +13,8 @@
 //     advances in variable piecewise-linear segments bounded by the next
 //     discrete event and runs ~50–200× faster with statistically matching
 //     results. Both drive the same Machine transition, so the physics
-//     cannot diverge between engines by construction.
+//     cannot diverge between engines by construction. The Lockstep kind is
+//     the same event loop with the crawl replay on (lockstep.go).
 //
 //   - Observer is the instrumentation pipeline: registered observers are
 //     invoked from one site after every committed step (EndStep) and once
@@ -44,15 +45,13 @@ const (
 	// for large sweeps; use FixedIncrement for the paper-faithful
 	// reference.
 	EventDriven
-	// Lockstep is the batch-throughput stepper: it commits the exact same
-	// segment sequence as EventDriven (the event stream and results are
-	// bit-identical — pinned by golden parity and the three-way differential
-	// oracle), but detects fixed-point "crawl" regimes — a store pinned at
-	// the brown-out floor with a pending capture, advancing in minSegment
-	// steps — and replays them as closed-form runs of constant-addend
-	// updates instead of full segment/step dispatch. Batch (NewBatch) runs
-	// many machines under it in lockstep rounds over shared power segments.
-	// See DESIGN.md §13.
+	// Lockstep is the EventDriven loop with the crawl replay on. It commits
+	// the exact same segment sequence as EventDriven (the event stream and
+	// results are bit-identical — pinned by golden parity and the exact
+	// event↔lockstep oracle), but detects fixed-point "crawl" regimes — a
+	// store pinned at the brown-out floor with a pending capture, advancing
+	// in minSegment steps — and commits them as runs of constant-addend
+	// updates instead of full segment/step dispatch. See DESIGN.md §13.
 	Lockstep
 )
 
@@ -79,7 +78,7 @@ func StepperFor(k Kind) Stepper {
 	case EventDriven:
 		return EventStepper{}
 	case Lockstep:
-		return LockstepStepper{}
+		return EventStepper{replay: true}
 	}
 	return FixedStepper{}
 }

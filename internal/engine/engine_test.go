@@ -119,6 +119,9 @@ func TestStepperFor(t *testing.T) {
 	if k := StepperFor(EventDriven).Kind(); k != EventDriven {
 		t.Errorf("StepperFor(EventDriven).Kind() = %v", k)
 	}
+	if k := StepperFor(Lockstep).Kind(); k != Lockstep {
+		t.Errorf("StepperFor(Lockstep).Kind() = %v", k)
+	}
 	if k := StepperFor(FixedIncrement).Kind(); k != FixedIncrement {
 		t.Errorf("StepperFor(FixedIncrement).Kind() = %v", k)
 	}

@@ -12,25 +12,50 @@ const minSegment = 1e-6
 
 // EventStepper advances the world in variable-length segments bounded by
 // the next discrete event; see the Kind documentation for when to use it.
-type EventStepper struct{}
+// The zero value is the EventDriven stepper. StepperFor(Lockstep) returns
+// one with the crawl replay on: the same loop, which additionally commits
+// brown-out crawl regimes in bulk (Machine.replayCrawl) instead of one
+// minSegment step at a time. The replay commits exactly the steps the
+// normal path would, so both kinds produce bit-identical runs.
+type EventStepper struct {
+	replay bool
+}
 
-// Kind reports EventDriven.
-func (EventStepper) Kind() Kind { return EventDriven }
+// Kind reports Lockstep when the crawl replay is on, else EventDriven.
+func (s EventStepper) Kind() Kind {
+	if s.replay {
+		return Lockstep
+	}
+	return EventDriven
+}
 
 // Run executes the event-driven main loop: each iteration picks the
 // largest event-free segment, applies the same Machine.Step transition
 // over it, and accumulates the clock.
-func (EventStepper) Run(ctx context.Context, m *Machine) error {
+func (s EventStepper) Run(ctx context.Context, m *Machine) error {
 	end := m.cfg.Duration
-	for i := 0; m.now < end; i++ {
+	for i := 0; m.now < end; {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return m.canceled(ctx)
+		}
+		if s.replay {
+			if n := m.replayCrawl(end); n > 0 {
+				// The replay commits steps in bulk; keep the index honest
+				// and re-check cancellation here since the stride check
+				// above may now be skipped over.
+				i += n
+				if ctx.Err() != nil {
+					return m.canceled(ctx)
+				}
+				continue
+			}
 		}
 		m.Hook(i)
 		dt := segment(m, end)
 		m.Step(dt)
 		m.now += dt
 		m.EndStep(dt)
+		i++
 	}
 	m.now = end
 	return nil

@@ -111,7 +111,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Run(t.Context(), LockstepStepper{}); err != nil {
+	if _, err := base.Run(t.Context(), StepperFor(Lockstep)); err != nil {
 		t.Fatal(err)
 	}
 	if base.ReplayedSteps() == 0 {
@@ -121,7 +121,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 	for _, name := range []string{policy.MDPName, policy.InterweaveName} {
 		t.Run(name, func(t *testing.T) {
 			eventHash, eventRes, _ := runFingerprint(t, policyConfig(t, sc, name), EventStepper{})
-			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name), LockstepStepper{})
+			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name), StepperFor(Lockstep))
 			if lm.ReplayedSteps() != 0 {
 				t.Errorf("replay committed %d steps for replay-sensitive policy %s", lm.ReplayedSteps(), name)
 			}
@@ -136,7 +136,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 
 	// EnSuRe reads only λ and the quantized pin, both frozen by the crawl
 	// classifier, so it keeps the fast path.
-	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName), LockstepStepper{})
+	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName), StepperFor(Lockstep))
 	if em.ReplayedSteps() == 0 {
 		t.Error("ensure (replay-insensitive) never engaged the replay on the crawl-heavy workload")
 	}

@@ -144,13 +144,13 @@ const (
 	// discrete event; typically 50–200× faster with statistically matching
 	// results. See engine.EventDriven.
 	EventDriven = engine.EventDriven
-	// Lockstep commits the exact segment sequence of EventDriven — event
-	// streams and results are bit-identical, pinned by golden parity — but
-	// replays fixed-point crawl regimes as constant-addend updates, an
-	// order of magnitude faster on starved sweep workloads. Fastest choice
-	// for fleets and corpora; requires no observers on the hot path for the
-	// replay to engage (checks, timelines and metrics sinks fall back to
-	// the normal per-segment path). See engine.Lockstep and DESIGN.md §13.
+	// Lockstep is the EventDriven loop with the crawl replay on: event
+	// streams and results are bit-identical, pinned by golden parity, but
+	// fixed-point crawl regimes commit as constant-addend updates, an order
+	// of magnitude faster on starved workloads. Fastest choice for fleets
+	// and corpora; requires no observers on the hot path for the replay to
+	// engage (checks, timelines and metrics sinks fall back to the normal
+	// per-segment path). See engine.Lockstep and DESIGN.md §13.
 	Lockstep = engine.Lockstep
 )
 
