@@ -30,12 +30,12 @@ import (
 	"time"
 
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/experiments"
 	"quetzal/internal/faults"
 	"quetzal/internal/obs"
 	"quetzal/internal/report"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 // validateObsFlags checks the shared observability flag set plus the
@@ -83,7 +83,7 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		md       = flag.Bool("md", false, "emit Markdown tables")
 		svgDir   = flag.String("svg", "", "also write an SVG chart per figure into this directory")
-		engine   = flag.String("engine", "", "time-advance engine: fixed (paper-faithful reference) or event (~100x faster, statistically matching); default fixed")
+		engine   = flag.String("engine", "", "time-advance engine: fixed (paper-faithful reference), event (~100x faster, statistically matching) or lockstep (bit-identical to event); default fixed")
 		fast     = flag.Bool("fast", false, "shorthand for -engine event")
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU)")
 		timeout  = flag.Duration("timeout", 0, "per-run timeout, e.g. 30s (0 = none)")
@@ -341,25 +341,21 @@ func main() {
 
 // parseEngine resolves the -engine/-fast flags into an engine kind, up
 // front like -fig: a typo fails in milliseconds, before any simulation.
-// -fast stays as shorthand for -engine event; combining it with an
-// explicit conflicting -engine is an error rather than a silent override.
-func parseEngine(arg string, fast bool) (sim.EngineKind, error) {
-	switch arg {
-	case "":
-		if fast {
-			return sim.EventDriven, nil
-		}
-		return sim.FixedIncrement, nil
-	case "fixed":
-		if fast {
-			return 0, fmt.Errorf("-fast conflicts with -engine fixed")
-		}
-		return sim.FixedIncrement, nil
-	case "event":
-		return sim.EventDriven, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q; valid engines: fixed, event", arg)
+// Names go through experiments.ParseEngineKind, the wire parser. -fast
+// stays as shorthand for -engine event; combining it with an explicit
+// -engine fixed is an error rather than a silent override.
+func parseEngine(arg string, fast bool) (engine.Kind, error) {
+	if fast && arg == "" {
+		return engine.EventDriven, nil
 	}
+	kind, err := experiments.ParseEngineKind(arg)
+	if err != nil {
+		return 0, err
+	}
+	if fast && kind == engine.FixedIncrement {
+		return 0, fmt.Errorf("-fast conflicts with -engine fixed")
+	}
+	return kind, nil
 }
 
 // parseFigs validates and de-duplicates a comma-separated figure id list.

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/experiments"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 func tinySetup() experiments.Setup {
@@ -85,6 +85,37 @@ func TestParseFigs(t *testing.T) {
 	}
 }
 
+// TestParseEngine: -engine names go through the wire parser, and -fast
+// conflicts only with an explicit -engine fixed.
+func TestParseEngine(t *testing.T) {
+	for _, tc := range []struct {
+		arg     string
+		fast    bool
+		want    engine.Kind
+		wantErr string
+	}{
+		{arg: "", want: engine.FixedIncrement},
+		{arg: "", fast: true, want: engine.EventDriven},
+		{arg: "fixed", want: engine.FixedIncrement},
+		{arg: "event", want: engine.EventDriven},
+		{arg: "event", fast: true, want: engine.EventDriven},
+		{arg: "lockstep", want: engine.Lockstep},
+		{arg: "bogus", wantErr: `unknown engine "bogus"`},
+		{arg: "fixed", fast: true, wantErr: "-fast conflicts with -engine fixed"},
+	} {
+		got, err := parseEngine(tc.arg, tc.fast)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("parseEngine(%q, %v) error = %v, want %q", tc.arg, tc.fast, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("parseEngine(%q, %v) = %v, %v; want %v", tc.arg, tc.fast, got, err, tc.want)
+		}
+	}
+}
+
 // TestCLIDeterminism: a representative figure subset must render
 // byte-identically at -parallel 1 and -parallel 8 (the correctness bar for
 // the concurrent sweep). The deeper check lives in internal/experiments;
@@ -95,7 +126,7 @@ func TestCLIDeterminism(t *testing.T) {
 	}
 	render := func(workers int) string {
 		s := tinySetup()
-		s.Engine = sim.EventDriven
+		s.Engine = engine.EventDriven
 		sw := experiments.NewSweepConfig(s, runner.Config[experiments.RunKey]{Workers: workers})
 		var b strings.Builder
 		for _, id := range []string{"3", "9", "11c"} {

@@ -33,8 +33,8 @@ func TestResolveMCU(t *testing.T) {
 }
 
 // TestValidateFleetFlags: in fleet mode every single-run flag is rejected
-// by name, never silently ignored; fleet-honoured flags pass, and outside
-// fleet mode nothing is rejected.
+// by name, never silently ignored, and fleet-honoured flags pass; outside
+// fleet mode every fleet-only flag is rejected and single-run flags pass.
 func TestValidateFleetFlags(t *testing.T) {
 	type fleetCase struct {
 		name    string
@@ -55,6 +55,10 @@ func TestValidateFleetFlags(t *testing.T) {
 		cases = append(cases, fleetCase{name: "-" + flagName, f: fleetMode, set: []string{flagName},
 			wantErr: "-" + flagName + " applies to single runs"})
 	}
+	for _, flagName := range fleetOnlyFlags {
+		cases = append(cases, fleetCase{name: "single run -" + flagName, f: fleetFlags{}, set: []string{flagName},
+			wantErr: "-" + flagName + " applies to fleet runs only"})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			set := func(name string) bool { return slices.Contains(tc.set, name) }
@@ -73,6 +77,11 @@ func TestValidateFleetFlags(t *testing.T) {
 	for _, want := range []string{"metrics", "cells", "capture", "v", "trace", "timeline", "timelinesvg"} {
 		if !slices.Contains(singleRunFlags, want) {
 			t.Errorf("singleRunFlags lacks %q: fleet mode would silently ignore it", want)
+		}
+	}
+	for _, want := range []string{"shard", "jitter", "correlation", "progress"} {
+		if !slices.Contains(fleetOnlyFlags, want) {
+			t.Errorf("fleetOnlyFlags lacks %q: single-run mode would silently ignore it", want)
 		}
 	}
 }

@@ -3,7 +3,8 @@ package main
 // Fleet mode: -fleet N turns one quetzalsim invocation into a population
 // sweep — N heterogeneous devices under correlated skies, streamed through
 // the columnar fleet fold. Single-run flags (singleRunFlags) are rejected;
-// fleet results are aggregates, not one device's history.
+// fleet results are aggregates, not one device's history. Without -fleet,
+// the fleet-only flags (fleetOnlyFlags) are rejected the same way.
 
 import (
 	"context"
@@ -31,12 +32,22 @@ type fleetFlags struct {
 // setup; fleet mode has nothing to apply them to.
 var singleRunFlags = []string{"timeline", "timelinesvg", "trace", "metrics", "cells", "capture", "v"}
 
-// validateFleetFlags rejects single-run flags that make no sense for a
-// population sweep; set reports whether a flag was given on the command
-// line. Kept separate from main for table-driven tests.
+// fleetOnlyFlags name the flags that only shape a fleet; a single run has
+// nothing to apply them to.
+var fleetOnlyFlags = []string{"shard", "jitter", "correlation", "progress"}
+
+// validateFleetFlags rejects flags the chosen mode would silently ignore:
+// single-run flags in a population sweep, and fleet-only flags in a single
+// run. set reports whether a flag was given on the command line. Kept
+// separate from main for table-driven tests.
 func validateFleetFlags(f fleetFlags, set func(name string) bool) error {
 	if f.devices <= 0 {
-		return nil // single-run mode; fleet flags are ignored
+		for _, name := range fleetOnlyFlags {
+			if set(name) {
+				return fmt.Errorf("-%s applies to fleet runs only; add -fleet N", name)
+			}
+		}
+		return nil
 	}
 	for _, name := range singleRunFlags {
 		if set(name) {

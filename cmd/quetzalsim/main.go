@@ -38,12 +38,12 @@ import (
 	"strings"
 
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/experiments"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/obs"
 	"quetzal/internal/plot"
-	"quetzal/internal/sim"
 )
 
 // resolveEnv maps the -env flag to an environment through the same gate the
@@ -241,7 +241,7 @@ func main() {
 
 	var res metrics.Results
 	if sinks.timeline != nil || sinks.trace != nil || sinks.reg != nil || faultSpec.Enabled() {
-		res, err = setup.RunWith(context.Background(), systemID, env, func(c *sim.Config) {
+		res, err = setup.RunWith(context.Background(), systemID, env, func(c *engine.Config) {
 			if sinks.timeline != nil {
 				c.Timeline = sinks.timeline
 			}

@@ -14,8 +14,8 @@ import (
 // simulated seconds), the same scenario (including per-iteration app,
 // controller, and machine construction) BENCH_engine.json's pre-refactor
 // baseline was recorded with. No observers are registered: this is the bare
-// machine + stepper hot path.
-func benchEngineRun(b *testing.B, s Stepper) {
+// machine + loop hot path.
+func benchEngineRun(b *testing.B, kind Kind) {
 	prof := device.Apollo4()
 	events := &trace.EventTrace{}
 	t := 10.0
@@ -36,12 +36,14 @@ func benchEngineRun(b *testing.B, s Stepper) {
 		m, err := New(Config{
 			Profile: prof, App: app, Controller: ctl,
 			Power: power, Events: events,
-			Seed: 42,
+			Seed:   42,
+			Engine: kind,
+			Checks: ChecksOff,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := m.Run(context.Background(), s)
+		res, err := m.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,5 +58,5 @@ func benchEngineRun(b *testing.B, s Stepper) {
 	}
 }
 
-func BenchmarkEngineFixed(b *testing.B) { benchEngineRun(b, FixedStepper{}) }
-func BenchmarkEngineEvent(b *testing.B) { benchEngineRun(b, EventStepper{}) }
+func BenchmarkEngineFixed(b *testing.B) { benchEngineRun(b, FixedIncrement) }
+func BenchmarkEngineEvent(b *testing.B) { benchEngineRun(b, EventDriven) }

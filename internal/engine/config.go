@@ -8,16 +8,16 @@ import (
 	"quetzal/internal/energy"
 	"quetzal/internal/faults"
 	"quetzal/internal/model"
+	"quetzal/internal/obs"
 	"quetzal/internal/policy"
 	"quetzal/internal/trace"
 
 	"quetzal/internal/core"
 )
 
-// Config describes one device-machine run. It carries only what the state
-// machine needs: time-advance strategy and instrumentation are chosen
-// separately (Stepper, Observer) by the caller — see sim.Config for the
-// all-in-one facade.
+// Config describes one simulation run: the device scenario, the
+// time-advance loop (Engine) and the instrumentation sinks New wires up
+// (timeline, invariant checks, event log, trace export, metrics).
 type Config struct {
 	Profile device.Profile
 	App     *model.App // nil → Profile.PersonDetectionApp()
@@ -31,6 +31,11 @@ type Config struct {
 	Events *trace.EventTrace
 
 	Store energy.StoreConfig // zero → energy.DefaultConfig()
+
+	// Engine selects the time-advance loop: the paper's fixed 1 ms
+	// increments (default, reference semantics), the event-driven fast
+	// path, or the event loop with the crawl replay on (see Kind).
+	Engine Kind
 
 	CapturePeriod  float64 // seconds between captures; default 1 (1 FPS)
 	StepDt         float64 // fixed-increment step; default 0.001 (1 ms)
@@ -53,14 +58,41 @@ type Config struct {
 	// extension) regardless of the options' own TexeJitter.
 	TexeJitterOverride float64
 
+	// Timeline, when non-nil, receives one CSV row per TimelineInterval of
+	// simulated time: time, input power, store energy, buffer occupancy,
+	// device state. For plotting and debugging.
+	Timeline         io.Writer
+	TimelineInterval float64 // default 1 s
+
+	// Checks toggles the runtime invariant checker (internal/invariant):
+	// energy-store bounds and conservation, buffer bounds, monotonic time,
+	// and end-of-run accounting identities, verified every step/segment.
+	// The default (ChecksAuto) enables it, so every test and experiment
+	// pays the invariant tax; benchmarks and fleets opt out with ChecksOff.
+	Checks CheckMode
+
 	// EventLog, when non-nil, receives one line per discrete simulation
 	// event (capture, arrival, IBO drop, scheduling decision, classify
-	// verdict, transmission, job completion/abort, power transitions).
-	// The golden-trace regression layer hashes this stream to fingerprint
-	// a run's full behavior; it is also readable for debugging. The log is
-	// part of the machine, not an observer, because its lines are emitted
-	// at the discrete events themselves, interleaved within a step.
+	// verdict, transmission, job completion/abort, power transitions,
+	// checkpoint/rollback, PID update). The golden-trace regression layer
+	// hashes this stream to fingerprint a run's full behavior; it is also
+	// readable for debugging. The log is part of the machine, not an
+	// observer, because its lines are emitted at the discrete events
+	// themselves, interleaved within a step.
 	EventLog io.Writer
+
+	// Trace, when non-nil, receives the run rendered as Chrome trace_event
+	// JSON (load in chrome://tracing or Perfetto); TraceJSONL receives the
+	// same events as JSON objects, one per line. Both are derived from the
+	// event-log stream by an obs.Exporter, which also audits it: a dropped
+	// or reordered event fails the run at the end.
+	Trace      io.Writer
+	TraceJSONL io.Writer
+
+	// Metrics, when non-nil, collects run metrics: per-step samples (step
+	// lengths, store level, buffer occupancy) and the end-of-run
+	// aggregates. Dump with Registry.WriteText.
+	Metrics *obs.Registry
 
 	Environment string // label copied into the results
 
@@ -75,8 +107,23 @@ type Config struct {
 	FaultSeed int64
 }
 
+// CheckMode selects whether the invariant checker runs.
+type CheckMode int
+
+const (
+	// ChecksAuto (the zero value) enables the invariant checker.
+	ChecksAuto CheckMode = iota
+	// ChecksOff disables it — for hot benchmark loops and fleets.
+	ChecksOff
+)
+
 // normalize validates the configuration and fills in defaults, in place.
 func (cfg *Config) normalize() error {
+	switch cfg.Engine {
+	case FixedIncrement, EventDriven, Lockstep:
+	default:
+		return fmt.Errorf("engine: unknown engine kind %v", cfg.Engine)
+	}
 	if cfg.Controller != nil && cfg.Policy != "" {
 		return fmt.Errorf("engine: Controller and Policy are mutually exclusive (got both)")
 	}

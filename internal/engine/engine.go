@@ -1,6 +1,7 @@
-// Package engine is the simulation core the sim facade runs on, split into
-// three orthogonal layers so that new scenarios, new time-advance
-// strategies, and new instrumentation compose instead of multiplying:
+// Package engine is the simulator (the paper's §6.3): one Config describes a
+// run and New assembles it. The code is split into three layers, so that new
+// scenarios, time-advance loops and instrumentation compose instead of
+// multiplying:
 //
 //   - Machine is the pure device state machine: energy store draw/charge/
 //     restart, brownout and checkpoint policy, the always-on capture
@@ -8,28 +9,28 @@
 //     how to advance across one step of any length (Step), but nothing
 //     about how step lengths are chosen.
 //
-//   - Stepper is the pluggable time-advance strategy. FixedStepper is the
-//     paper's §6.3 reference (constant 1 ms increments); EventStepper
-//     advances in variable piecewise-linear segments bounded by the next
-//     discrete event and runs ~50–200× faster with statistically matching
-//     results. Both drive the same Machine transition, so the physics
-//     cannot diverge between engines by construction. The Lockstep kind is
-//     the same event loop with the crawl replay on (lockstep.go).
+//   - Two time-advance loops, selected by Config.Engine. The fixed loop is
+//     the paper's §6.3 reference (constant 1 ms increments); the event
+//     loop advances in variable piecewise-linear segments bounded by the
+//     next discrete event and runs ~50–200× faster with statistically
+//     matching results. Both drive the same Machine transition, so the
+//     physics cannot diverge between engines by construction. The Lockstep
+//     kind is the event loop with the crawl replay on (lockstep.go). A new
+//     loop is a new Kind plus a run* method on Machine.
 //
 //   - Observer is the instrumentation pipeline: registered observers are
 //     invoked from one site after every committed step (EndStep) and once
-//     at end of run. Timeline CSV writing and the internal/invariant
-//     checker are observers; the hot path pays zero allocations when no
-//     observer is registered.
+//     at end of run. The timeline CSV writer, the metrics sampler and the
+//     internal/invariant checker are observers, wired by New from Config;
+//     the hot path pays zero allocations when no observer is registered.
 //
-// Package sim wraps this package in a compatibility facade (sim.Config,
-// sim.Simulator) that keeps the original public API; new code that wants
-// to compose its own steppers or observers can use this package directly.
+// Package sim keeps a thin Simulator wrapper over Machine for the public
+// quetzal API.
 package engine
 
 import "fmt"
 
-// Kind selects the time-advance strategy (the Stepper implementation).
+// Kind selects the time-advance loop (Config.Engine).
 type Kind int
 
 const (
@@ -56,7 +57,7 @@ const (
 )
 
 // String names the engine kind. The public name of this type through the
-// sim facade is EngineKind, which the unknown-value form preserves.
+// quetzal API is EngineKind, which the unknown-value form preserves.
 func (k Kind) String() string {
 	switch k {
 	case FixedIncrement:
@@ -68,19 +69,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("EngineKind(%d)", int(k))
 	}
-}
-
-// StepperFor returns the stepper implementing the given kind; unknown
-// values fall back to the fixed-increment reference, mirroring the
-// facade's historical switch.
-func StepperFor(k Kind) Stepper {
-	switch k {
-	case EventDriven:
-		return EventStepper{}
-	case Lockstep:
-		return EventStepper{replay: true}
-	}
-	return FixedStepper{}
 }
 
 // CheckpointPolicy selects the intermittent-computing progress model.

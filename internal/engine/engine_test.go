@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"quetzal/internal/device"
 	"quetzal/internal/invariant"
 	"quetzal/internal/model"
+	"quetzal/internal/obs"
 	"quetzal/internal/trace"
 )
 
@@ -64,17 +66,20 @@ func testConfig(t *testing.T, app *model.App, ctl core.Controller) Config {
 		Power:      trace.SquareWave{High: 0.05, Low: 0.004, Period: 60, Duty: 0.5},
 		Events:     steadyEvents(5, 10, 10, true),
 		Seed:       42,
+		// Tests attach their own observers (invariant checker included).
+		Checks: ChecksOff,
 	}
 }
 
-func mustRun(t *testing.T, cfg Config, s Stepper, obs ...Observer) (mRes *Machine, _ error) {
+func mustRun(t *testing.T, cfg Config, kind Kind, obs ...Observer) (mRes *Machine, _ error) {
 	t.Helper()
+	cfg.Engine = kind
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Observe(obs...)
-	_, err = m.Run(context.Background(), s)
+	_, err = m.Run(context.Background())
 	return m, err
 }
 
@@ -95,6 +100,7 @@ func TestNewValidation(t *testing.T) {
 		{Controller: ctl, Power: power, Events: events, Profile: prof, CheckpointInterval: -1},
 		{Controller: ctl, Power: power, Events: events, Profile: prof, TexeJitterOverride: 2},
 		{Controller: ctl, Power: power, Events: events, Profile: prof, Duration: -5},
+		{Controller: ctl, Power: power, Events: events, Profile: prof, Engine: Kind(9)},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -106,27 +112,57 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewWiresInstrumentation pins the sinks and checker New attaches from
+// Config: the zero Checks turns the invariant checker on, and the trace
+// exporter is closed at the end of the run even when the run fails.
+func TestNewWiresInstrumentation(t *testing.T) {
+	cfg := testConfig(t, nil, nil)
+	cfg.Checks = ChecksAuto
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Checker() == nil || !m.verified {
+		t.Error("zero Checks: no invariant checker attached")
+	}
+	cfg.Checks = ChecksOff
+	if m, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if m.Checker() != nil || m.verified {
+		t.Error("ChecksOff: invariant checker attached")
+	}
+
+	var timeline, chrome bytes.Buffer
+	cfg.Timeline = &timeline
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Trace = &chrome
+	if m, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.observers) != 2 || m.exporter == nil || m.cfg.EventLog == nil {
+		t.Fatalf("sinks not wired: %d observers, exporter %v", len(m.observers), m.exporter != nil)
+	}
+	// Cancel mid-run, after the trace has started: the error path must
+	// still close the exporter, leaving a complete Chrome JSON document.
+	_, err = m.Run(&pollCanceledCtx{Context: context.Background(), after: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want cancellation error, got %v", err)
+	}
+	if chrome.Len() == 0 || !json.Valid(chrome.Bytes()) {
+		t.Fatalf("trace not closed on the error path: %d bytes, valid JSON %v", chrome.Len(), json.Valid(chrome.Bytes()))
+	}
+	if timeline.Len() == 0 {
+		t.Error("timeline observer wrote nothing")
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if FixedIncrement.String() != "fixed-increment" || EventDriven.String() != "event-driven" {
 		t.Errorf("kind names: %q, %q", FixedIncrement, EventDriven)
 	}
 	if got := Kind(7).String(); got != "EngineKind(7)" {
 		t.Errorf("unknown kind = %q", got)
-	}
-}
-
-func TestStepperFor(t *testing.T) {
-	if k := StepperFor(EventDriven).Kind(); k != EventDriven {
-		t.Errorf("StepperFor(EventDriven).Kind() = %v", k)
-	}
-	if k := StepperFor(Lockstep).Kind(); k != Lockstep {
-		t.Errorf("StepperFor(Lockstep).Kind() = %v", k)
-	}
-	if k := StepperFor(FixedIncrement).Kind(); k != FixedIncrement {
-		t.Errorf("StepperFor(FixedIncrement).Kind() = %v", k)
-	}
-	if k := StepperFor(Kind(9)).Kind(); k != FixedIncrement {
-		t.Errorf("unknown kind should fall back to fixed, got %v", k)
 	}
 }
 
@@ -258,11 +294,11 @@ func TestHotPathZeroAlloc(t *testing.T) {
 }
 
 func TestObserverPipeline(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
+	for _, k := range []Kind{FixedIncrement, EventDriven} {
+		t.Run(k.String(), func(t *testing.T) {
 			var steps, finishes int
 			var lastNow float64
-			m, err := mustRun(t, testConfig(t, nil, nil), s, FuncObserver{
+			m, err := mustRun(t, testConfig(t, nil, nil), k, FuncObserver{
 				Step: func(m *Machine, dt float64) {
 					steps++
 					if m.Now() < lastNow {
@@ -287,7 +323,7 @@ func TestObserverPipeline(t *testing.T) {
 
 func TestObserverFinishErrorFailsRun(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := mustRun(t, testConfig(t, nil, nil), FixedStepper{},
+	_, err := mustRun(t, testConfig(t, nil, nil), FixedIncrement,
 		FuncObserver{Finish: func(*Machine) error { return boom }})
 	if !errors.Is(err, boom) {
 		t.Fatalf("OnFinish error not propagated: %v", err)
@@ -298,11 +334,11 @@ func TestObserverFinishErrorFailsRun(t *testing.T) {
 // Horizon forces segment boundaries onto the row grid, so every row is
 // stamped exactly on a multiple of the interval.
 func TestTimelineGrid(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
+	for _, k := range []Kind{FixedIncrement, EventDriven} {
+		t.Run(k.String(), func(t *testing.T) {
 			var buf bytes.Buffer
 			cfg := testConfig(t, nil, nil)
-			_, err := mustRun(t, cfg, s, NewTimelineWriter(&buf, 0.5))
+			_, err := mustRun(t, cfg, k, NewTimelineWriter(&buf, 0.5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,9 +371,11 @@ func TestTimelineGrid(t *testing.T) {
 // TestInvariantObserverCatchesCorruption is the engine-level mutation test:
 // teleporting the store's charge without accounting must fail the run.
 func TestInvariantObserverCatchesCorruption(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-		t.Run(s.Kind().String(), func(t *testing.T) {
-			m, err := New(testConfig(t, nil, nil))
+	for _, k := range []Kind{FixedIncrement, EventDriven} {
+		t.Run(k.String(), func(t *testing.T) {
+			cfg := testConfig(t, nil, nil)
+			cfg.Engine = k
+			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +390,7 @@ func TestInvariantObserverCatchesCorruption(t *testing.T) {
 					m.Store().SetFraction(0)
 				}
 			}
-			if _, err := m.Run(context.Background(), s); err == nil ||
+			if _, err := m.Run(context.Background()); err == nil ||
 				!strings.Contains(err.Error(), "energy-conservation") {
 				t.Fatalf("corruption not caught, err = %v", err)
 			}
@@ -367,26 +405,27 @@ func TestInvariantObserverCatchesCorruption(t *testing.T) {
 // clean and within coarse agreement.
 func TestSteppersProduceConsistentRuns(t *testing.T) {
 	results := map[Kind]float64{}
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
+	for _, k := range []Kind{FixedIncrement, EventDriven} {
 		prof := device.Apollo4()
 		app := prof.PersonDetectionApp()
 		cfg := testConfig(t, app, quetzalController(t, app))
+		cfg.Engine = k
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Observe(InvariantObserver{C: invariant.New(invariant.Config{})})
-		res, err := m.Run(context.Background(), s)
+		res, err := m.Run(context.Background())
 		if err != nil {
-			t.Fatalf("%v: %v", s.Kind(), err)
+			t.Fatalf("%v: %v", k, err)
 		}
 		if res.Captures == 0 || res.Arrivals == 0 || res.JobsCompleted == 0 {
-			t.Fatalf("%v: degenerate run: %+v", s.Kind(), res)
+			t.Fatalf("%v: degenerate run: %+v", k, res)
 		}
 		if res.Brownouts == 0 {
-			t.Errorf("%v: scenario intended to brown out never did", s.Kind())
+			t.Errorf("%v: scenario intended to brown out never did", k)
 		}
-		results[s.Kind()] = float64(res.Arrivals)
+		results[k] = float64(res.Arrivals)
 	}
 	f, e := results[FixedIncrement], results[EventDriven]
 	if math.Abs(f-e) > 0.25*math.Max(f, e) {
@@ -398,17 +437,18 @@ func TestSteppersProduceConsistentRuns(t *testing.T) {
 // power; all must produce clean, invariant-checked runs.
 func TestCheckpointPolicies(t *testing.T) {
 	for _, p := range []CheckpointPolicy{JITCheckpoint, NoCheckpoint, PeriodicCheckpoint} {
-		for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
-			t.Run(p.String()+"/"+s.Kind().String(), func(t *testing.T) {
+		for _, k := range []Kind{FixedIncrement, EventDriven} {
+			t.Run(p.String()+"/"+k.String(), func(t *testing.T) {
 				cfg := testConfig(t, nil, nil)
 				cfg.Checkpoint = p
 				cfg.CheckpointInterval = 0.2
+				cfg.Engine = k
 				m, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				m.Observe(InvariantObserver{C: invariant.New(invariant.Config{})})
-				res, err := m.Run(context.Background(), s)
+				res, err := m.Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -424,22 +464,24 @@ func TestCheckpointPolicies(t *testing.T) {
 func TestJitterOverride(t *testing.T) {
 	cfg := testConfig(t, nil, nil)
 	cfg.TexeJitterOverride = 0.3
-	if _, err := mustRun(t, cfg, EventStepper{},
+	if _, err := mustRun(t, cfg, EventDriven,
 		InvariantObserver{C: invariant.New(invariant.Config{})}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCancellation(t *testing.T) {
-	for _, s := range []Stepper{FixedStepper{}, EventStepper{}} {
+	for _, k := range []Kind{FixedIncrement, EventDriven} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		m, err := New(testConfig(t, nil, nil))
+		cfg := testConfig(t, nil, nil)
+		cfg.Engine = k
+		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Run(ctx, s); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: canceled run returned %v", s.Kind(), err)
+		if _, err := m.Run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: canceled run returned %v", k, err)
 		}
 	}
 }
@@ -466,17 +508,6 @@ func TestAccessors(t *testing.T) {
 	st := m.Snapshot()
 	if st.BufferCap != m.Buffer().Capacity() || st.Store.Capacity != m.Store().Capacity() {
 		t.Errorf("snapshot disagrees with accessors: %+v", st)
-	}
-}
-
-// TestNilStepperDefaultsToFixed pins Run's nil-stepper fallback.
-func TestNilStepperDefaultsToFixed(t *testing.T) {
-	m, err := New(testConfig(t, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(context.Background(), nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -49,7 +49,8 @@ func lockstepScenarios() []lockstepScenario {
 }
 
 // lockstepConfig builds the shared test workload (the bench scenario's 20
-// events) over the given power trace.
+// events) over the given power trace, under the lockstep loop with no
+// observers attached (so the crawl replay can engage).
 func lockstepConfig(t testing.TB, sc lockstepScenario) Config {
 	t.Helper()
 	prof := device.Apollo4()
@@ -67,7 +68,9 @@ func lockstepConfig(t testing.TB, sc lockstepScenario) Config {
 	cfg := Config{
 		Profile: prof, App: app, Controller: ctl,
 		Power: sc.power, Events: events,
-		Seed: 42,
+		Engine: Lockstep,
+		Checks: ChecksOff,
+		Seed:   42,
 	}
 	if sc.store != nil {
 		store := energy.DefaultConfig()
@@ -77,18 +80,19 @@ func lockstepConfig(t testing.TB, sc lockstepScenario) Config {
 	return cfg
 }
 
-// runFingerprint executes one machine under the given stepper with the event
-// log hashed, returning the stream digest and the results.
-func runFingerprint(t testing.TB, cfg Config, s Stepper) (string, metrics.Results, *Machine) {
+// runFingerprint executes one machine under the given engine kind with the
+// event log hashed, returning the stream digest and the results.
+func runFingerprint(t testing.TB, cfg Config, kind Kind) (string, metrics.Results, *Machine) {
 	t.Helper()
 	h := sha256.New()
 	w := bufio.NewWriter(h)
 	cfg.EventLog = w
+	cfg.Engine = kind
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(context.Background(), s)
+	res, err := m.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +109,8 @@ func runFingerprint(t testing.TB, cfg Config, s Stepper) (string, metrics.Result
 func TestLockstepBitIdentical(t *testing.T) {
 	for _, sc := range lockstepScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			eventHash, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventStepper{})
-			lockHash, lockRes, lm := runFingerprint(t, lockstepConfig(t, sc), StepperFor(Lockstep))
+			eventHash, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventDriven)
+			lockHash, lockRes, lm := runFingerprint(t, lockstepConfig(t, sc), Lockstep)
 			if eventHash != lockHash {
 				t.Errorf("event-log stream diverged: event %s vs lockstep %s", eventHash, lockHash)
 			}
@@ -133,7 +137,7 @@ func TestLockstepReplayDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(context.Background(), StepperFor(Lockstep)); err != nil {
+	if _, err := m.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if m.ReplayedSteps() < 100000 {
@@ -151,7 +155,7 @@ func TestLockstepObserverDisablesReplay(t *testing.T) {
 	}
 	steps := 0
 	m.Observe(FuncObserver{Step: func(*Machine, float64) { steps++ }})
-	res, err := m.Run(context.Background(), StepperFor(Lockstep))
+	res, err := m.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestLockstepObserverDisablesReplay(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("observer saw no steps")
 	}
-	_, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventStepper{})
+	_, eventRes, _ := runFingerprint(t, lockstepConfig(t, sc), EventDriven)
 	if diffs := metrics.Diff(eventRes, res, metrics.Tolerance{}); len(diffs) > 0 {
 		t.Fatalf("observed lockstep run diverged from event run:\n%v", diffs)
 	}
@@ -192,7 +196,7 @@ func TestLockstepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(ctx, StepperFor(Lockstep)); err == nil {
+	if _, err := m.Run(ctx); err == nil {
 		t.Fatal("want cancellation error, got nil")
 	}
 
@@ -203,7 +207,7 @@ func TestLockstepCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Run(&pollCanceledCtx{Context: context.Background(), after: 1}, StepperFor(Lockstep))
+	_, err = m.Run(&pollCanceledCtx{Context: context.Background(), after: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want cancellation error, got %v", err)
 	}
@@ -223,4 +227,4 @@ func TestLockstepCancellation(t *testing.T) {
 
 // BenchmarkEngineLockstep is the single-run lockstep figure on the shared
 // bench workload (comparable to BenchmarkEngineEvent row for row).
-func BenchmarkEngineLockstep(b *testing.B) { benchEngineRun(b, StepperFor(Lockstep)) }
+func BenchmarkEngineLockstep(b *testing.B) { benchEngineRun(b, Lockstep) }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"quetzal/internal/buffer"
@@ -12,12 +13,14 @@ import (
 	"quetzal/internal/invariant"
 	"quetzal/internal/metrics"
 	"quetzal/internal/model"
+	"quetzal/internal/obs"
 )
 
 // Machine is the pure device state machine: the simulated sensor node (energy
 // store, capture pipeline, input buffer, task execution with checkpointing)
-// advanced across steps of arbitrary length by a Stepper. Construct with New,
-// register instrumentation with Observe, execute with Run.
+// advanced across steps of arbitrary length by the loop Config.Engine
+// selects. Construct with New (which wires the instrumentation Config asks
+// for), register extra observers with Observe, execute with Run.
 //
 // The simulated device runs in parallel to the simulated environment: a
 // camera captures frames at a fixed rate regardless of energy or activity;
@@ -57,6 +60,8 @@ type Machine struct {
 
 	observers []Observer
 	verified  bool // an InvariantObserver subsumes the end-of-run Check
+	inv       *invariant.Checker
+	exporter  *obs.Exporter // trace export tee'd into EventLog; closed by RunInto
 
 	// replaySteps counts steps the event stepper's crawl replay (on for
 	// the Lockstep kind; see replayCrawl in lockstep.go) committed instead
@@ -153,19 +158,35 @@ type faultState struct {
 	lastTemp     float64
 }
 
-// New validates the configuration and builds a Machine.
+// New validates the configuration and builds a Machine with the
+// instrumentation cfg asks for attached: the trace exporter tee'd into the
+// event log, then the timeline, metrics and invariant-checker observers.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	var exporter *obs.Exporter
+	if cfg.Trace != nil || cfg.TraceJSONL != nil {
+		exporter = obs.NewExporter(obs.ExporterConfig{
+			Chrome:  cfg.Trace,
+			JSONL:   cfg.TraceJSONL,
+			Metrics: cfg.Metrics,
+		})
+		if cfg.EventLog != nil {
+			cfg.EventLog = io.MultiWriter(cfg.EventLog, exporter)
+		} else {
+			cfg.EventLog = exporter
+		}
+	}
 	m := &Machine{
-		cfg:   cfg,
-		app:   cfg.App,
-		ctl:   cfg.Controller,
-		store: energy.NewStore(cfg.Store),
-		buf:   buffer.New(cfg.BufferCapacity),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		wasOn: true,
+		cfg:      cfg,
+		app:      cfg.App,
+		ctl:      cfg.Controller,
+		store:    energy.NewStore(cfg.Store),
+		buf:      buffer.New(cfg.BufferCapacity),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		wasOn:    true,
+		exporter: exporter,
 	}
 	m.res.System = cfg.Controller.Name()
 	m.res.Environment = cfg.Environment
@@ -204,6 +225,25 @@ func New(cfg Config) (*Machine, error) {
 			m.ovhPower = e / t
 		}
 	}
+
+	if cfg.Timeline != nil {
+		m.Observe(NewTimelineWriter(cfg.Timeline, cfg.TimelineInterval))
+	}
+	if cfg.Metrics != nil {
+		m.Observe(newMetricsObserver(cfg.Metrics))
+	}
+	if cfg.Checks != ChecksOff {
+		icfg := invariant.Config{}
+		if cfg.Faults.Enabled() {
+			// Materialise the realism spec's checkable consequences: the
+			// exact per-sample measurement-energy identity and the dropout
+			// windows over the (normalised) run duration.
+			icfg.MeasPerSampleJ, _ = cfg.Faults.MeasCost()
+			icfg.DropoutWindows = cfg.Faults.Windows(cfg.Duration)
+		}
+		m.inv = invariant.New(icfg)
+		m.Observe(InvariantObserver{C: m.inv})
+	}
 	return m, nil
 }
 
@@ -218,12 +258,15 @@ func (m *Machine) Observe(obs ...Observer) {
 	}
 }
 
-// Run executes the machine under the given stepper (nil → fixed-increment)
-// until cfg.Duration, then finalises: store statistics are copied into the
+// Run executes the machine under the loop cfg.Engine selects until
+// cfg.Duration, then finalises: store statistics are copied into the
 // results and every observer's OnFinish runs. When no InvariantObserver is
 // registered, the results' own accounting identities are still verified.
-func (m *Machine) Run(ctx context.Context, s Stepper) (metrics.Results, error) {
-	err := m.RunInto(ctx, s, nil)
+// Cancellation is cooperative: the loop polls ctx every few thousand steps
+// and abandons the run with a wrapped context error noting the simulated
+// time reached.
+func (m *Machine) Run(ctx context.Context) (metrics.Results, error) {
+	err := m.RunInto(ctx, nil)
 	return m.res, err
 }
 
@@ -232,12 +275,26 @@ func (m *Machine) Run(ctx context.Context, s Stepper) (metrics.Results, error) {
 // pointer into the machine's own results. Fleet-scale callers reduce through
 // the pointer (e.g. metrics.Summarize) and let the machine go, so nothing the
 // size of Results outlives the device. The pointer is only valid inside the
-// callback; sink may be nil.
-func (m *Machine) RunInto(ctx context.Context, s Stepper, sink func(*metrics.Results)) error {
-	if s == nil {
-		s = FixedStepper{}
+// callback; sink may be nil. On every path it closes the trace exporter,
+// which flushes the Chrome JSON trailer and surfaces the stream audit: a
+// dropped or reordered event line fails the run.
+func (m *Machine) RunInto(ctx context.Context, sink func(*metrics.Results)) (err error) {
+	if m.exporter != nil {
+		defer func() {
+			if cerr := m.exporter.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
 	}
-	if err := s.Run(ctx, m); err != nil {
+	switch m.cfg.Engine {
+	case EventDriven:
+		err = m.runEvents(ctx, false)
+	case Lockstep:
+		err = m.runEvents(ctx, true)
+	default:
+		err = m.runFixed(ctx)
+	}
+	if err != nil {
 		return err
 	}
 	m.finish()
@@ -256,6 +313,10 @@ func (m *Machine) RunInto(ctx context.Context, s Stepper, sink func(*metrics.Res
 	}
 	return nil
 }
+
+// Checker returns the invariant checker New attached (nil when Checks is
+// ChecksOff).
+func (m *Machine) Checker() *invariant.Checker { return m.inv }
 
 // Duration returns the configured simulated run length in seconds.
 func (m *Machine) Duration() float64 { return m.cfg.Duration }

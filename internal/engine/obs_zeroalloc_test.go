@@ -11,10 +11,11 @@ import (
 // what a run without -trace/-metrics wires up), the steady-state engine
 // loop must allocate nothing per step, including across brownout/poweron
 // transitions and capture activity, both of which pass through logf call
-// sites. The obs layer lives outside this package (internal/obs imports
-// engine), so "disabled" here is the nil pipeline those flags leave behind;
-// the enabled path's cost is measured by BenchmarkObs* in internal/obs and
-// recorded in BENCH_obs.json.
+// sites. New attaches the obs sinks (exporter, metrics observer) only when
+// Config names them, so "disabled" here is the nil pipeline New builds from
+// nil sinks and ChecksOff — asserted below, not assumed; the enabled path's
+// cost is measured by BenchmarkObs* in internal/obs and recorded in
+// BENCH_obs.json.
 func TestObsDisabledZeroAlloc(t *testing.T) {
 	cfg := testConfig(t, nil, nil)
 	// Events drive arrivals, scheduling, classification and transmission —
@@ -26,8 +27,9 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cfg.EventLog != nil {
-		t.Fatal("test requires the event log disabled")
+	if m.cfg.EventLog != nil || m.exporter != nil || len(m.observers) != 0 {
+		t.Fatalf("New wired instrumentation from nil sinks and ChecksOff: event log %v, exporter %v, %d observers",
+			m.cfg.EventLog != nil, m.exporter != nil, len(m.observers))
 	}
 	const dt = 0.001
 	step := 0

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"quetzal/internal/invariant"
+	"quetzal/internal/obs"
 )
 
 // Observer is per-step instrumentation. Observers never mutate the machine;
@@ -82,6 +83,71 @@ func (o InvariantObserver) OnFinish(m *Machine) error {
 		Results:         m.Results(),
 		PendingCaptures: m.PendingCaptures(),
 	})
+}
+
+// metricsObserver feeds a run's per-step state into an obs.Registry. Metric
+// handles are resolved once at construction; OnStep then pays only atomic
+// updates and short histogram critical sections, and allocates nothing
+// (measured by BenchmarkObsMetrics).
+type metricsObserver struct {
+	steps     *obs.Counter
+	stepDT    *obs.Histogram
+	storeMJ   *obs.Gauge
+	occupancy *obs.Histogram
+	reg       *obs.Registry
+}
+
+func newMetricsObserver(reg *obs.Registry) *metricsObserver {
+	return &metricsObserver{
+		steps: reg.Counter("sim_steps_total"),
+		// Step lengths span the fixed 1 ms grid up to multi-second idle
+		// segments under the event loop.
+		stepDT:    reg.Histogram("sim_step_seconds", obs.ExpBuckets(0.0005, 2, 16)),
+		storeMJ:   reg.Gauge("sim_store_millijoules"),
+		occupancy: reg.Histogram("sim_buffer_occupancy", obs.LinearBuckets(0, 1, 16)),
+		reg:       reg,
+	}
+}
+
+// OnStep records the step length, store level and buffer occupancy.
+func (o *metricsObserver) OnStep(m *Machine, dt float64) {
+	o.steps.Inc()
+	o.stepDT.Observe(dt)
+	o.storeMJ.Set(m.Store().Energy() * 1e3)
+	o.occupancy.Observe(float64(m.Buffer().Len()))
+}
+
+// Horizon reports no boundary needs; metrics sample whatever steps the
+// loop takes.
+func (o *metricsObserver) Horizon(float64) float64 { return 0 }
+
+// OnFinish copies the run's aggregate results into the registry.
+func (o *metricsObserver) OnFinish(m *Machine) error {
+	res := m.Results()
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"sim_captures_total", res.Captures},
+		{"sim_capture_misses_total", res.CaptureMisses},
+		{"sim_arrivals_total", res.Arrivals},
+		{"sim_ibo_drops_total", res.IBODropsInteresting + res.IBODropsOther},
+		{"sim_jobs_completed_total", res.JobsCompleted},
+		{"sim_job_aborts_total", res.JobAborts},
+		{"sim_degradations_total", res.Degradations},
+		{"sim_brownouts_total", res.Brownouts},
+		{"sim_sched_invocations_total", res.SchedInvocations},
+		{"sim_transient_faults_total", res.TransientFaults},
+		{"sim_meas_samples_total", res.MeasSamples},
+	} {
+		o.reg.Counter(c.name).Add(int64(c.v))
+	}
+	o.reg.Gauge("sim_harvested_joules").Set(res.HarvestedJoules)
+	o.reg.Gauge("sim_consumed_joules").Set(res.ConsumedJoules)
+	o.reg.Gauge("sim_overhead_joules").Set(res.OverheadJoules)
+	o.reg.Gauge("sim_meas_joules").Set(res.MeasJoules)
+	o.reg.Gauge("sim_seconds").Set(res.SimSeconds)
+	return nil
 }
 
 // FuncObserver adapts plain functions to the Observer interface; nil

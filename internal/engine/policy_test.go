@@ -82,7 +82,7 @@ func TestPolicyMatchesController(t *testing.T) {
 	sc := lockstepScenarios()[0]
 
 	viaName := policyConfig(t, sc, policy.NoAdapt)
-	nameHash, nameRes, _ := runFingerprint(t, viaName, EventStepper{})
+	nameHash, nameRes, _ := runFingerprint(t, viaName, EventDriven)
 
 	viaCtl := lockstepConfig(t, sc)
 	ctl, err := baseline.NoAdapt(viaCtl.App)
@@ -90,7 +90,7 @@ func TestPolicyMatchesController(t *testing.T) {
 		t.Fatal(err)
 	}
 	viaCtl.Controller = ctl
-	ctlHash, ctlRes, _ := runFingerprint(t, viaCtl, EventStepper{})
+	ctlHash, ctlRes, _ := runFingerprint(t, viaCtl, EventDriven)
 
 	if nameHash != ctlHash {
 		t.Errorf("event-log stream diverged: policy %s vs controller %s", nameHash, ctlHash)
@@ -111,7 +111,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Run(t.Context(), StepperFor(Lockstep)); err != nil {
+	if _, err := base.Run(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if base.ReplayedSteps() == 0 {
@@ -120,8 +120,8 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 
 	for _, name := range []string{policy.MDPName, policy.InterweaveName} {
 		t.Run(name, func(t *testing.T) {
-			eventHash, eventRes, _ := runFingerprint(t, policyConfig(t, sc, name), EventStepper{})
-			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name), StepperFor(Lockstep))
+			eventHash, eventRes, _ := runFingerprint(t, policyConfig(t, sc, name), EventDriven)
+			lockHash, lockRes, lm := runFingerprint(t, policyConfig(t, sc, name), Lockstep)
 			if lm.ReplayedSteps() != 0 {
 				t.Errorf("replay committed %d steps for replay-sensitive policy %s", lm.ReplayedSteps(), name)
 			}
@@ -136,7 +136,7 @@ func TestReplaySensitivePolicyDisablesReplay(t *testing.T) {
 
 	// EnSuRe reads only λ and the quantized pin, both frozen by the crawl
 	// classifier, so it keeps the fast path.
-	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName), StepperFor(Lockstep))
+	_, _, em := runFingerprint(t, policyConfig(t, sc, policy.EnSuReName), Lockstep)
 	if em.ReplayedSteps() == 0 {
 		t.Error("ensure (replay-insensitive) never engaged the replay on the crawl-heavy workload")
 	}

@@ -11,11 +11,11 @@ import (
 
 	"quetzal/internal/core"
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/model"
 	"quetzal/internal/policy"
-	"quetzal/internal/sim"
 	"quetzal/internal/trace"
 )
 
@@ -98,7 +98,7 @@ type Setup struct {
 	// Engine selects the simulator's time-advance mechanism; the default
 	// FixedIncrement is the paper-faithful reference, EventDriven runs
 	// ~50–200× faster with statistically matching results.
-	Engine sim.EngineKind
+	Engine engine.Kind
 
 	// Faults, when enabled, replaces every environment's realism spec for
 	// the whole sweep (the -faults/-temp/-meascost flags); a per-key spec
@@ -184,7 +184,7 @@ func (s Setup) RunContext(ctx context.Context, systemID string, env Environment)
 // simulator-level overrides applied after the Setup-derived configuration
 // is assembled. It is the single execution path every figure and study
 // funnels through.
-func (s Setup) runContext(ctx context.Context, systemID string, env Environment, mutate func(*sim.Config)) (metrics.Results, error) {
+func (s Setup) runContext(ctx context.Context, systemID string, env Environment, mutate func(*engine.Config)) (metrics.Results, error) {
 	if systemID == SysIdeal {
 		return s.ideal(env), nil
 	}
@@ -196,7 +196,7 @@ func (s Setup) runContext(ctx context.Context, systemID string, env Environment,
 		return metrics.Results{}, err
 	}
 
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Profile:        s.Profile,
 		App:            app,
 		Controller:     ctl,
@@ -216,11 +216,11 @@ func (s Setup) runContext(ctx context.Context, systemID string, env Environment,
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	simulator, err := sim.New(cfg)
+	m, err := engine.New(cfg)
 	if err != nil {
 		return metrics.Results{}, err
 	}
-	res, err := simulator.RunContext(ctx)
+	res, err := m.Run(ctx)
 	if err != nil {
 		return res, fmt.Errorf("experiments: %s/%s: %w", systemID, env.Name, err)
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/report"
-	"quetzal/internal/sim"
 )
 
 // smallSetup keeps runs fast: 60 events is enough to exercise every code
@@ -329,7 +329,7 @@ func TestBufferStudy(t *testing.T) {
 // The event-driven engine must preserve the harness's headline orderings.
 func TestFastEngineOrderings(t *testing.T) {
 	s := smallSetup()
-	s.Engine = sim.EventDriven
+	s.Engine = engine.EventDriven
 	res, err := s.runAll([]string{SysNoAdapt, SysQuetzal}, Crowded)
 	if err != nil {
 		t.Fatal(err)

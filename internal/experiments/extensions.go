@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/metrics"
 	"quetzal/internal/report"
-	"quetzal/internal/sim"
 )
 
 // The studies in this file go beyond the paper's figures: they exercise the
@@ -18,18 +18,18 @@ import (
 // shared memoizing pool.
 
 // RunWith is Run with an instrumentation hook over the underlying
-// sim.Config: the mutate callback attaches sinks (timeline, event log,
+// engine.Config: the mutate callback attaches sinks (timeline, event log,
 // trace exporter, metrics registry) before the run starts. Instrumented
 // runs are unkeyable, so they execute directly rather than through a sweep
 // pool. Note SysIdeal resolves analytically — no simulator is built, so
 // mutate never runs and the sinks stay empty.
-func (s Setup) RunWith(ctx context.Context, systemID string, env Environment, mutate func(*sim.Config)) (metrics.Results, error) {
+func (s Setup) RunWith(ctx context.Context, systemID string, env Environment, mutate func(*engine.Config)) (metrics.Results, error) {
 	return s.runContext(ctx, systemID, env, mutate)
 }
 
 // RunWithTimeline is Run with a per-second CSV timeline written to w.
 func (s Setup) RunWithTimeline(systemID string, env Environment, w io.Writer) (metrics.Results, error) {
-	return s.RunWith(context.Background(), systemID, env, func(c *sim.Config) { c.Timeline = w })
+	return s.RunWith(context.Background(), systemID, env, func(c *engine.Config) { c.Timeline = w })
 }
 
 // JitterStudy sweeps execution-latency jitter (the §8 variable-cost
@@ -73,9 +73,9 @@ func (sw *Sweep) JitterStudy(ctx context.Context) (*report.Table, error) {
 // checkpointing, and no checkpointing, on a store small enough that tasks
 // span charge cycles.
 func (sw *Sweep) CheckpointStudy(ctx context.Context) (*report.Table, error) {
-	policies := []sim.CheckpointPolicy{sim.JITCheckpoint, sim.PeriodicCheckpoint, sim.NoCheckpoint}
+	policies := []engine.CheckpointPolicy{engine.JITCheckpoint, engine.PeriodicCheckpoint, engine.NoCheckpoint}
 	systems := []string{SysQuetzal, SysNoAdapt}
-	key := func(p sim.CheckpointPolicy, id string) RunKey {
+	key := func(p engine.CheckpointPolicy, id string) RunKey {
 		return RunKey{System: id, Env: Crowded,
 			Checkpoint:         p,
 			CheckpointInterval: 0.25, // all tasks run < 1 s; checkpoint within them
@@ -119,7 +119,7 @@ func (sw *Sweep) SeedStudy(ctx context.Context) (*report.Table, error) {
 	key := func(id string, k int) RunKey {
 		return RunKey{System: id, Env: Crowded,
 			Seed:   sw.Setup.Seed + int64(k)*101,
-			Engine: sim.EventDriven,
+			Engine: engine.EventDriven,
 		}
 	}
 	var keys []RunKey

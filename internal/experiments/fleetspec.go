@@ -10,8 +10,8 @@ package experiments
 import (
 	"fmt"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
-	"quetzal/internal/sim"
 )
 
 // Fleet request bounds. One fleet run is O(devices × events); the work cap
@@ -55,7 +55,7 @@ type FleetPlan struct {
 	Profile     string // registry name; see Profile* constants
 	Events      int    // events per device
 	Seed        int64  // fleet seed; per-device streams derive from it
-	Engine      sim.EngineKind
+	Engine      engine.Kind
 	ShardSize   int
 	Jitter      float64 // per-device parameter jitter fraction, in [0, 0.5]
 	Correlation float64 // regional-sky blend weight, in (0, 1]
@@ -166,10 +166,10 @@ func (sp FleetSpec) Plan() (FleetPlan, error) {
 		return FleetPlan{}, fmt.Errorf("unknown profile %q", sp.Profile)
 	}
 
-	engine := sim.Lockstep
+	kind := engine.Lockstep
 	if sp.Engine != "" {
 		var err error
-		if engine, err = ParseEngineKind(sp.Engine); err != nil {
+		if kind, err = ParseEngineKind(sp.Engine); err != nil {
 			return FleetPlan{}, err
 		}
 	}
@@ -219,7 +219,7 @@ func (sp FleetSpec) Plan() (FleetPlan, error) {
 		Profile:     profile,
 		Events:      events,
 		Seed:        seed,
-		Engine:      engine,
+		Engine:      kind,
 		ShardSize:   shard,
 		Jitter:      sp.Jitter,
 		Correlation: corr,

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"quetzal/internal/sim"
+	"quetzal/internal/engine"
 )
 
 func TestFleetSpecPlanDefaults(t *testing.T) {
@@ -20,7 +20,7 @@ func TestFleetSpecPlanDefaults(t *testing.T) {
 		Profile:     ProfileApollo4,
 		Events:      DefaultFleetEvents,
 		Seed:        DefaultFleetSeed,
-		Engine:      sim.Lockstep,
+		Engine:      engine.Lockstep,
 		ShardSize:   DefaultFleetShard,
 		Jitter:      0,
 		Correlation: DefaultFleetCorrelation,

@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"math"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/policy"
-	"quetzal/internal/sim"
 )
 
 // Request bounds. The simulator is O(events × systems); these caps keep one
@@ -92,31 +92,32 @@ func EnvByName(name string) (Environment, bool) {
 	return Environment{}, false
 }
 
-// ParseEngineKind maps the wire names to engine kinds ("" → fixed, the
-// paper-faithful default). "lockstep" selects the batched fast path, bit-
-// identical to "event" (pinned by golden parity and the three-way oracle).
-func ParseEngineKind(name string) (sim.EngineKind, error) {
+// ParseEngineKind maps the wire and CLI names to engine kinds ("" → fixed,
+// the paper-faithful default). "lockstep" selects the event loop with the
+// crawl replay on, bit-identical to "event" (pinned by golden parity and
+// the three-way oracle).
+func ParseEngineKind(name string) (engine.Kind, error) {
 	switch name {
 	case "", "fixed":
-		return sim.FixedIncrement, nil
+		return engine.FixedIncrement, nil
 	case "event":
-		return sim.EventDriven, nil
+		return engine.EventDriven, nil
 	case "lockstep":
-		return sim.Lockstep, nil
+		return engine.Lockstep, nil
 	}
 	return 0, fmt.Errorf("unknown engine %q (want fixed, event or lockstep)", name)
 }
 
 // ParseCheckpointPolicy maps the wire names to checkpoint policies ("" →
 // jit, the paper's model).
-func ParseCheckpointPolicy(name string) (sim.CheckpointPolicy, error) {
+func ParseCheckpointPolicy(name string) (engine.CheckpointPolicy, error) {
 	switch name {
 	case "", "jit":
-		return sim.JITCheckpoint, nil
+		return engine.JITCheckpoint, nil
 	case "none":
-		return sim.NoCheckpoint, nil
+		return engine.NoCheckpoint, nil
 	case "periodic":
-		return sim.PeriodicCheckpoint, nil
+		return engine.PeriodicCheckpoint, nil
 	}
 	return 0, fmt.Errorf("unknown checkpoint policy %q (want jit, none or periodic)", name)
 }

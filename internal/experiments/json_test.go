@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/policy"
-	"quetzal/internal/sim"
 )
 
 func TestValidSystem(t *testing.T) {
@@ -135,7 +135,7 @@ func TestKeySpecResolvesSharedKeys(t *testing.T) {
 	if keys[0].Env != Crowded {
 		t.Fatalf("Env = %+v, want the canonical Crowded value %+v", keys[0].Env, Crowded)
 	}
-	if keys[0].Engine != sim.EventDriven {
+	if keys[0].Engine != engine.EventDriven {
 		t.Fatalf("Engine = %v, want EventDriven", keys[0].Engine)
 	}
 }
@@ -145,7 +145,7 @@ func TestKeySpecResolvesSharedKeys(t *testing.T) {
 func TestExecuteMatchesSweep(t *testing.T) {
 	setup := DefaultSetup()
 	setup.NumEvents = 40
-	setup.Engine = sim.EventDriven
+	setup.Engine = engine.EventDriven
 	key := RunKey{System: SysNoAdapt, Env: LessCrowded}
 
 	direct, err := setup.Execute(context.Background(), key)

@@ -6,15 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/policy"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 func leagueSetup() Setup {
 	s := DefaultSetup()
 	s.NumEvents = 15
-	s.Engine = sim.EventDriven
+	s.Engine = engine.EventDriven
 	return s
 }
 

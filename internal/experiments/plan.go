@@ -15,10 +15,10 @@ import (
 
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 // Profile registry names accepted by RunKey.Profile.
@@ -61,14 +61,14 @@ type RunKey struct {
 	Cells         int
 	TaskWindow    int
 	ArrivalWindow int
-	CapturePeriod float64        // seconds
-	Engine        sim.EngineKind // FixedIncrement (the zero value) → base
+	CapturePeriod float64     // seconds
+	Engine        engine.Kind // FixedIncrement (the zero value) → base
 
 	// Simulator-level deviations (zero → none), covering the extension
 	// studies' knobs.
 	BufferCapacity     int
-	Jitter             float64 // sim.Config.TexeJitterOverride
-	Checkpoint         sim.CheckpointPolicy
+	Jitter             float64 // engine.Config.TexeJitterOverride
+	Checkpoint         engine.CheckpointPolicy
 	CheckpointInterval float64
 	StoreCapacitance   float64 // farads; overrides the default store
 
@@ -105,7 +105,7 @@ func (k RunKey) String() string {
 	if k.CapturePeriod != 0 {
 		opt("period=%gs", k.CapturePeriod)
 	}
-	if k.Engine != sim.FixedIncrement {
+	if k.Engine != engine.FixedIncrement {
 		opt("engine=%s", k.Engine)
 	}
 	if k.BufferCapacity != 0 {
@@ -114,7 +114,7 @@ func (k RunKey) String() string {
 	if k.Jitter != 0 {
 		opt("jitter=%g", k.Jitter)
 	}
-	if k.CheckpointInterval != 0 || k.Checkpoint != sim.JITCheckpoint {
+	if k.CheckpointInterval != 0 || k.Checkpoint != engine.JITCheckpoint {
 		opt("ckpt=%s", k.Checkpoint)
 	}
 	if k.StoreCapacitance != 0 {
@@ -128,7 +128,7 @@ func (k RunKey) String() string {
 
 // resolve applies a key's deviations to the base setup and returns the
 // resolved setup plus the simulator-level override hook.
-func (s Setup) resolve(k RunKey) (Setup, func(*sim.Config), error) {
+func (s Setup) resolve(k RunKey) (Setup, func(*engine.Config), error) {
 	if k.Profile != "" {
 		p, ok := ProfileByName(k.Profile)
 		if !ok {
@@ -154,14 +154,14 @@ func (s Setup) resolve(k RunKey) (Setup, func(*sim.Config), error) {
 	if k.CapturePeriod > 0 {
 		s.CapturePeriod = k.CapturePeriod
 	}
-	if k.Engine != sim.FixedIncrement {
+	if k.Engine != engine.FixedIncrement {
 		s.Engine = k.Engine
 	}
-	if k.BufferCapacity == 0 && k.Jitter == 0 && k.Checkpoint == sim.JITCheckpoint &&
+	if k.BufferCapacity == 0 && k.Jitter == 0 && k.Checkpoint == engine.JITCheckpoint &&
 		k.CheckpointInterval == 0 && k.StoreCapacitance == 0 && !k.Faults.Enabled() {
 		return s, nil, nil // no simulator-level overrides
 	}
-	mutate := func(c *sim.Config) {
+	mutate := func(c *engine.Config) {
 		if k.BufferCapacity > 0 {
 			c.BufferCapacity = k.BufferCapacity
 		}

@@ -7,10 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/metrics"
 	"quetzal/internal/report"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 )
 
 // sweepSetup is a fast base setup for sweep tests: few events on the
@@ -18,7 +18,7 @@ import (
 func sweepSetup() Setup {
 	s := DefaultSetup()
 	s.NumEvents = 30
-	s.Engine = sim.EventDriven
+	s.Engine = engine.EventDriven
 	return s
 }
 

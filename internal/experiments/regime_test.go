@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"quetzal/internal/sim"
+	"quetzal/internal/engine"
 )
 
 // TestLatencyScalingRegime documents the Fig 11/12 divergence analysis in
@@ -18,7 +18,7 @@ func TestLatencyScalingRegime(t *testing.T) {
 	for _, scale := range []float64{1.5, 2.0, 2.5} {
 		s := DefaultSetup()
 		s.NumEvents = 150
-		s.Engine = sim.EventDriven
+		s.Engine = engine.EventDriven
 		p := s.Profile
 		for i := range p.MLOptions {
 			p.MLOptions[i].Texe *= scale

@@ -22,10 +22,10 @@ import (
 	"time"
 
 	"quetzal/internal/energy"
+	"quetzal/internal/engine"
 	"quetzal/internal/experiments"
 	"quetzal/internal/metrics"
 	"quetzal/internal/runner"
-	"quetzal/internal/sim"
 	"quetzal/internal/trace"
 )
 
@@ -81,11 +81,6 @@ type Options struct {
 	// population distributions, and the tail only needs to let in-flight
 	// work settle.
 	DrainTime float64
-	// Checks enables the per-device invariant checker (sim.ChecksOn). The
-	// default runs fleets with checks off: the identities are pinned by the
-	// single-device test layers, and a population sweep optimizes for
-	// throughput.
-	Checks sim.CheckMode
 	// OnProgress, when set, receives (devices done, total) after each shard
 	// folds; calls are serialized and arrive in shard order.
 	OnProgress func(done, total int)
@@ -126,7 +121,6 @@ type fleetRun struct {
 	opts  Options
 	setup experiments.Setup
 	solar *trace.FleetSolar
-	check sim.CheckMode
 }
 
 // newFleetRun resolves the plan into shared fleet state.
@@ -147,10 +141,6 @@ func newFleetRun(plan experiments.FleetPlan, opts Options) (*fleetRun, error) {
 	// may run longer — the regional series extends on demand.
 	refDur := float64(plan.Events)*(5+math.Min(25, plan.Env.MaxDuration)) + opts.DrainTime + 120
 	solarCfg := trace.DefaultSolarConfig(refDur, DeviceSeed(plan.Seed, 0, StreamRegional))
-	checks := sim.ChecksOff
-	if opts.Checks == sim.ChecksOn {
-		checks = sim.ChecksOn
-	}
 	return &fleetRun{
 		plan: plan,
 		opts: opts,
@@ -162,7 +152,6 @@ func newFleetRun(plan experiments.FleetPlan, opts Options) (*fleetRun, error) {
 			Engine:    plan.Engine,
 		},
 		solar: trace.NewFleetSolar(solarCfg, plan.Correlation),
-		check: checks,
 	}, nil
 }
 
@@ -171,7 +160,7 @@ func jittered(base, j, u float64) float64 { return base * (1 + j*u) }
 
 // deviceConfig assembles device i's simulation config: its own event trace,
 // its correlated solar draw, and its jittered physical parameters.
-func (f *fleetRun) deviceConfig(i int) (sim.Config, error) {
+func (f *fleetRun) deviceConfig(i int) (engine.Config, error) {
 	plan := f.plan
 	events := trace.GenerateEvents(trace.DefaultEventConfig(
 		plan.Events, plan.Env.MaxDuration, DeviceSeed(plan.Seed, i, StreamEvents)))
@@ -206,12 +195,12 @@ func (f *fleetRun) deviceConfig(i int) (sim.Config, error) {
 	setup.CapturePeriod = capturePeriod
 	ctl, ctlBufCap, err := setup.Controller(plan.System, app, pw, events)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("fleet: device %d: %w", i, err)
+		return engine.Config{}, fmt.Errorf("fleet: device %d: %w", i, err)
 	}
 	if ctlBufCap > 0 {
 		bufCap = ctlBufCap
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Profile:        setup.Profile,
 		App:            app,
 		Controller:     ctl,
@@ -223,8 +212,11 @@ func (f *fleetRun) deviceConfig(i int) (sim.Config, error) {
 		DrainTime:      f.opts.DrainTime,
 		BufferCapacity: bufCap,
 		Seed:           DeviceSeed(plan.Seed, i, StreamSim),
-		Checks:         f.check,
-		Environment:    plan.Env.Name,
+		// Fleets run with the invariant checker off: the identities are
+		// pinned by the single-device test layers, and a population sweep
+		// optimizes for throughput.
+		Checks:      engine.ChecksOff,
+		Environment: plan.Env.Name,
 	}
 	// Hardware realism: a plan-level spec overrides the environment's own.
 	// The fault seed derives from (fleet seed, device, stream) like every
@@ -249,11 +241,11 @@ func (f *fleetRun) runShard(ctx context.Context, s runner.Shard) (*Block, error)
 		if err != nil {
 			return nil, err
 		}
-		simulator, err := sim.New(cfg)
+		m, err := engine.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %d: %w", i, err)
 		}
-		err = simulator.RunIntoContext(ctx, func(res *metrics.Results) {
+		err = m.RunInto(ctx, func(res *metrics.Results) {
 			b.Push(metrics.Summarize(res))
 		})
 		if err != nil {

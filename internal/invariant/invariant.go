@@ -16,7 +16,7 @@
 // Violations are collected (bounded), not panicked, so a sweep over
 // thousands of configurations reports every broken run instead of dying on
 // the first. The simulator enables the checker by default; hot benchmark
-// paths opt out via sim.ChecksOff.
+// paths opt out via engine.ChecksOff.
 package invariant
 
 import (

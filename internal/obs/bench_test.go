@@ -8,8 +8,8 @@ import (
 
 	"quetzal/internal/baseline"
 	"quetzal/internal/device"
+	"quetzal/internal/engine"
 	"quetzal/internal/obs"
-	"quetzal/internal/sim"
 	"quetzal/internal/trace"
 )
 
@@ -19,7 +19,7 @@ import (
 // wave), with invariant checks off so the obs delta is not buried under the
 // checker. mutate attaches the sinks under test; BENCH_obs.json records the
 // disabled/metrics/trace numbers next to BENCH_engine.json's baseline.
-func benchObsRun(b *testing.B, mutate func(*sim.Config)) {
+func benchObsRun(b *testing.B, mutate func(*engine.Config)) {
 	prof := device.Apollo4()
 	events := &trace.EventTrace{}
 	t := 10.0
@@ -37,21 +37,21 @@ func benchObsRun(b *testing.B, mutate func(*sim.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := sim.Config{
+		cfg := engine.Config{
 			Profile: prof, App: app, Controller: ctl,
 			Power: power, Events: events,
 			Seed:   42,
-			Engine: sim.EventDriven,
-			Checks: sim.ChecksOff,
+			Engine: engine.EventDriven,
+			Checks: engine.ChecksOff,
 		}
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		s, err := sim.New(cfg)
+		m, err := engine.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := s.RunContext(context.Background())
+		res, err := m.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,20 +75,20 @@ func BenchmarkObsDisabled(b *testing.B) {
 // BenchmarkObsMetrics adds the per-step metrics observer.
 func BenchmarkObsMetrics(b *testing.B) {
 	reg := obs.NewRegistry()
-	benchObsRun(b, func(cfg *sim.Config) { cfg.Metrics = reg })
+	benchObsRun(b, func(cfg *engine.Config) { cfg.Metrics = reg })
 }
 
 // BenchmarkObsTrace adds the full Chrome trace exporter (rendered and
 // discarded, buffered like a real file write).
 func BenchmarkObsTrace(b *testing.B) {
-	benchObsRun(b, func(cfg *sim.Config) {
+	benchObsRun(b, func(cfg *engine.Config) {
 		cfg.Trace = bufio.NewWriter(io.Discard)
 	})
 }
 
 // BenchmarkObsJSONL adds the JSONL event-log exporter.
 func BenchmarkObsJSONL(b *testing.B) {
-	benchObsRun(b, func(cfg *sim.Config) {
+	benchObsRun(b, func(cfg *engine.Config) {
 		cfg.TraceJSONL = bufio.NewWriter(io.Discard)
 	})
 }

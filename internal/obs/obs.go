@@ -4,10 +4,11 @@
 // Chrome trace_event JSON and as a JSONL event log, and the CLI plumbing
 // the binaries share (-trace/-metrics/-pprof).
 //
-// The layer is strictly opt-in and provably cheap when off: nothing in
-// internal/engine references this package, so a run with no obs sinks pays
-// the engine's bare observer pipeline (zero allocations in steady state,
-// pinned by engine.TestObsDisabledZeroAlloc and measured in BENCH_obs.json).
+// The layer is strictly opt-in and provably cheap when off: engine.New
+// attaches an exporter or metrics observer only when engine.Config names a
+// sink, so a run with no obs sinks pays the engine's bare observer pipeline
+// (zero allocations in steady state, pinned by engine.TestObsDisabledZeroAlloc
+// and measured in BENCH_obs.json).
 // When enabled, the trace exporter consumes the same event-log stream the
 // golden-trace regression fingerprints, so exports are deterministic and
 // themselves pinned by sha256 fixtures (internal/sim/golden_trace_test.go).

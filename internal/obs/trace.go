@@ -42,8 +42,8 @@ type ExporterConfig struct {
 	Metrics *Registry
 }
 
-// Exporter is an io.Writer for the engine event-log stream (wire it as — or
-// tee it into — sim.Config.EventLog / engine.Config.EventLog). It is not
+// Exporter is an io.Writer for the engine event-log stream (engine.New tees
+// it into engine.Config.EventLog when Trace or TraceJSONL is set). It is not
 // safe for concurrent use; one exporter serves one run. Close flushes the
 // Chrome JSON trailer and reports any stream-integrity violation.
 type Exporter struct {

@@ -66,6 +66,7 @@ func (s *Server) fleetLookup(plan experiments.FleetPlan) (*fleet.Aggregate, flee
 	}
 	var st fleetStored
 	if err := json.Unmarshal(rec.Payload, &st); err != nil || st.Aggregate == nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: fleet store record %s undecodable: %v", rec.ID, err)
 		return nil, fleet.RunStats{}, false
 	}
@@ -73,18 +74,20 @@ func (s *Server) fleetLookup(plan experiments.FleetPlan) (*fleet.Aggregate, flee
 	return st.Aggregate, st.Stats, true
 }
 
-// fleetPublish durably records a finished fleet sweep; failures are logged,
-// never fatal.
+// fleetPublish durably records a finished fleet sweep; failures are logged
+// and counted, never fatal.
 func (s *Server) fleetPublish(plan experiments.FleetPlan, agg *fleet.Aggregate, stats fleet.RunStats) {
 	if s.cfg.Store == nil || agg == nil {
 		return
 	}
 	payload, err := json.Marshal(fleetStored{Aggregate: agg, Stats: stats})
 	if err != nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: fleet store marshal: %v", err)
 		return
 	}
 	if err := s.cfg.Store.Put(fleetID(plan), "fleet "+plan.String(), payload); err != nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: fleet store put: %v", err)
 		return
 	}

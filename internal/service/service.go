@@ -198,6 +198,7 @@ type Server struct {
 	mStoreMisses      *obs.Counter
 	mStorePuts        *obs.Counter
 	mStoreClaimLosses *obs.Counter
+	mStoreErrors      *obs.Counter
 }
 
 // New builds a Server around cfg.
@@ -220,6 +221,7 @@ func New(cfg Config) *Server {
 	s.mStoreMisses = s.reg.Counter("quetzald_store_misses_total")
 	s.mStorePuts = s.reg.Counter("quetzald_store_puts_total")
 	s.mStoreClaimLosses = s.reg.Counter("quetzald_store_claim_losses_total")
+	s.mStoreErrors = s.reg.Counter("quetzald_store_errors_total")
 
 	// The pool consults the store before executing: the store wrapper sits
 	// between the single-flight layer and the simulator, so a key that any

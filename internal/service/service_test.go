@@ -18,9 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/experiments"
 	"quetzal/internal/metrics"
-	"quetzal/internal/sim"
 )
 
 // stubResults fabricates a distinguishable result for a key.
@@ -631,7 +631,7 @@ func TestRealSimulatorEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
-	key := experiments.RunKey{System: experiments.SysNoAdapt, Env: experiments.LessCrowded, Engine: sim.EventDriven}
+	key := experiments.RunKey{System: experiments.SysNoAdapt, Env: experiments.LessCrowded, Engine: engine.EventDriven}
 	want, err := setup.Execute(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)

@@ -48,6 +48,14 @@ func (s *Server) withStore(inner RunFunc) RunFunc {
 		for {
 			won, release := st.Claim(id)
 			if won {
+				// The previous holder may have published and released
+				// between our lookup and our claim: re-check first, or a
+				// finished key would be simulated twice.
+				if res, ok := s.storeLookup(id); ok {
+					release()
+					s.mStoreHits.Inc()
+					return res, nil
+				}
 				res, err := execute()
 				release() // after Put: a loser that sees the claim gone sees the record
 				return res, err
@@ -77,8 +85,9 @@ func (s *Server) withStore(inner RunFunc) RunFunc {
 
 // storeLookup fetches and decodes a stored result. A record that fails to
 // decode (foreign schema, bit rot the checksum cannot see) is treated as a
-// miss and logged — the run re-executes and republishes nothing (first
-// wins), so a poisoned record is loud but not fatal.
+// miss, logged and counted in quetzald_store_errors_total — the run
+// re-executes and republishes nothing (first wins), so a poisoned record is
+// loud but not fatal.
 func (s *Server) storeLookup(id string) (metrics.Results, bool) {
 	rec, ok := s.cfg.Store.Get(id)
 	if !ok {
@@ -86,22 +95,26 @@ func (s *Server) storeLookup(id string) (metrics.Results, bool) {
 	}
 	var res metrics.Results
 	if err := json.Unmarshal(rec.Payload, &res); err != nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: store record %s undecodable: %v", id, err)
 		return metrics.Results{}, false
 	}
 	return res, true
 }
 
-// storePublish durably appends one completed result. Failures are logged,
-// not returned: the caller still has the in-memory result, and the next
-// replica to compute the key will publish it instead.
+// storePublish durably appends one completed result. Failures are logged
+// and counted (quetzald_store_errors_total), not returned: the caller still
+// has the in-memory result, and the next replica to compute the key will
+// publish it instead.
 func (s *Server) storePublish(id string, key experiments.RunKey, res metrics.Results) {
 	payload, err := json.Marshal(res)
 	if err != nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: store marshal %s: %v", id, err)
 		return
 	}
 	if err := s.cfg.Store.Put(id, key.String(), payload); err != nil {
+		s.mStoreErrors.Inc()
 		s.cfg.Logf("quetzald: store put %s: %v", id, err)
 		return
 	}

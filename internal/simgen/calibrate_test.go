@@ -8,7 +8,7 @@ import (
 	"sort"
 	"testing"
 
-	"quetzal/internal/sim"
+	"quetzal/internal/engine"
 )
 
 // TestCalibrate measures, over the curated table plus the random sweep, the
@@ -25,11 +25,11 @@ func TestCalibrate(t *testing.T) {
 	}
 	acc := map[string]*worst{}
 	record := func(p Params) {
-		fixed, err := p.Run(sim.FixedIncrement)
+		fixed, err := p.Run(engine.FixedIncrement)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		event, err := p.Run(sim.EventDriven)
+		event, err := p.Run(engine.EventDriven)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

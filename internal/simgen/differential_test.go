@@ -8,8 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"quetzal/internal/engine"
 	"quetzal/internal/metrics"
-	"quetzal/internal/sim"
 )
 
 // sweepBase seeds the random sweep; a failure reproduces from the seed
@@ -56,13 +56,13 @@ func runSweep(t *testing.T) []sweepPair {
 				for i := range idx {
 					pr := &sweepData[i]
 					pr.p = Random(sweepBase + int64(i))
-					if pr.fixed, pr.err = pr.p.Run(sim.FixedIncrement); pr.err != nil {
+					if pr.fixed, pr.err = pr.p.Run(engine.FixedIncrement); pr.err != nil {
 						continue
 					}
-					if pr.event, pr.err = pr.p.Run(sim.EventDriven); pr.err != nil {
+					if pr.event, pr.err = pr.p.Run(engine.EventDriven); pr.err != nil {
 						continue
 					}
-					pr.lock, pr.err = pr.p.RunUnchecked(sim.Lockstep)
+					pr.lock, pr.err = pr.p.RunUnchecked(engine.Lockstep)
 				}
 			}()
 		}
@@ -105,11 +105,11 @@ func shrink(p Params, diverges func(Params) bool) Params {
 // divergesFixedEvent reports whether fixed↔event disagree beyond tol on q.
 func divergesFixedEvent(tol metrics.Tolerance) func(Params) bool {
 	return func(q Params) bool {
-		fx, err := q.Run(sim.FixedIncrement)
+		fx, err := q.Run(engine.FixedIncrement)
 		if err != nil {
 			return false
 		}
-		ev, err := q.Run(sim.EventDriven)
+		ev, err := q.Run(engine.EventDriven)
 		if err != nil {
 			return false
 		}
@@ -120,11 +120,11 @@ func divergesFixedEvent(tol metrics.Tolerance) func(Params) bool {
 // divergesEventLockstep reports whether event↔lockstep differ in ANY field
 // on q — the lockstep contract is bit-identity, so the tolerance is empty.
 func divergesEventLockstep(q Params) bool {
-	ev, err := q.Run(sim.EventDriven)
+	ev, err := q.Run(engine.EventDriven)
 	if err != nil {
 		return false
 	}
-	lk, err := q.RunUnchecked(sim.Lockstep)
+	lk, err := q.RunUnchecked(engine.Lockstep)
 	if err != nil {
 		return false
 	}
@@ -168,15 +168,15 @@ func TestDifferentialCurated(t *testing.T) {
 		p := p.Normalize()
 		t.Run(fmt.Sprintf("%02d-%s-%s", i, p.SystemName(), powerNames[p.PowerKind]), func(t *testing.T) {
 			t.Parallel()
-			fixed, err := p.Run(sim.FixedIncrement)
+			fixed, err := p.Run(engine.FixedIncrement)
 			if err != nil {
 				t.Fatalf("%v: fixed engine: %v", p, err)
 			}
-			event, err := p.Run(sim.EventDriven)
+			event, err := p.Run(engine.EventDriven)
 			if err != nil {
 				t.Fatalf("%v: event engine: %v", p, err)
 			}
-			lock, err := p.RunUnchecked(sim.Lockstep)
+			lock, err := p.RunUnchecked(engine.Lockstep)
 			if err != nil {
 				t.Fatalf("%v: lockstep engine: %v", p, err)
 			}
@@ -211,8 +211,8 @@ func TestDifferentialRandom(t *testing.T) {
 			continue
 		}
 		small := shrink(pr.p, divergesFixedEvent(hard))
-		fx, err1 := small.Run(sim.FixedIncrement)
-		ev, err2 := small.Run(sim.EventDriven)
+		fx, err1 := small.Run(engine.FixedIncrement)
+		ev, err2 := small.Run(engine.EventDriven)
 		var sdiffs []string
 		if err1 == nil && err2 == nil {
 			sdiffs = metrics.Diff(fx, ev, hard)
@@ -240,8 +240,8 @@ func TestDifferentialLockstepExact(t *testing.T) {
 			continue
 		}
 		small := shrink(pr.p, divergesEventLockstep)
-		ev, err1 := small.Run(sim.EventDriven)
-		lk, err2 := small.RunUnchecked(sim.Lockstep)
+		ev, err1 := small.Run(engine.EventDriven)
+		lk, err2 := small.RunUnchecked(engine.Lockstep)
 		var sdiffs []string
 		if err1 == nil && err2 == nil {
 			sdiffs = metrics.Diff(ev, lk, metrics.Tolerance{})
@@ -332,13 +332,13 @@ func TestGeneratorValidity(t *testing.T) {
 		if p != p.Normalize() {
 			t.Fatalf("Random(%d) = %v outside its own lattice", i, p)
 		}
-		for _, engine := range []sim.EngineKind{sim.FixedIncrement, sim.EventDriven, sim.Lockstep} {
-			cfg, err := p.Config(engine)
+		for _, kind := range []engine.Kind{engine.FixedIncrement, engine.EventDriven, engine.Lockstep} {
+			cfg, err := p.Config(kind)
 			if err != nil {
 				t.Fatalf("%v: %v", p, err)
 			}
-			if _, err := sim.New(cfg); err != nil {
-				t.Fatalf("%v: sim.New: %v", p, err)
+			if _, err := engine.New(cfg); err != nil {
+				t.Fatalf("%v: engine.New: %v", p, err)
 			}
 		}
 	}
@@ -350,7 +350,7 @@ func TestGeneratorValidity(t *testing.T) {
 	if q != q.Normalize() {
 		t.Fatalf("Normalize not idempotent: %v vs %v", q, q.Normalize())
 	}
-	if _, err := q.Config(sim.EventDriven); err != nil {
+	if _, err := q.Config(engine.EventDriven); err != nil {
 		t.Fatalf("normalized hostile params invalid: %v", err)
 	}
 }

@@ -1,10 +1,10 @@
 // Package simgen samples the simulator's configuration space: it turns a
-// seed into a complete, valid sim.Config spanning every device profile,
+// seed into a complete, valid engine.Config spanning every device profile,
 // controller family, power-trace shape, checkpoint policy and buffer size
 // the repository ships. The three-way differential oracle runs each sampled
 // config through all three engines: fixed↔event must agree within
 // Tolerance(), and event↔lockstep must be bit-identical (empty tolerance,
-// see sim.Lockstep); the fuzz target FuzzParams drives the same sampler from
+// see engine.Lockstep); the fuzz target FuzzParams drives the same sampler from
 // arbitrary bytes; and Shrink supports minimizing a failing configuration
 // to its smallest still-failing neighbour.
 //
@@ -15,16 +15,17 @@
 package simgen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"quetzal/internal/circuit"
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
+	"quetzal/internal/engine"
 	"quetzal/internal/faults"
 	"quetzal/internal/metrics"
 	"quetzal/internal/policy"
-	"quetzal/internal/sim"
 	"quetzal/internal/trace"
 )
 
@@ -63,7 +64,7 @@ type Params struct {
 	PowerMW      int   // power level, milliwatts
 	NumEvents    int
 	EventDurS    int // cap on event durations, seconds
-	Checkpoint   int // sim.CheckpointPolicy
+	Checkpoint   int // engine.CheckpointPolicy
 	JitterPct    int // TexeJitterOverride × 100
 	CapMF        int // store capacitance, millifarads
 	BufCap       int // buffer capacity, inputs
@@ -229,7 +230,7 @@ var powerNames = [...]string{"constant", "square", "solar"}
 func (p Params) String() string {
 	s := fmt.Sprintf("seed=%d %s/%s %s@%dmW events=%d×≤%ds ckpt=%s jitter=%d%% cap=%dmF buf=%d capture=%dms",
 		p.Seed, profileNames[p.Profile], p.SystemName(), powerNames[p.PowerKind], p.PowerMW,
-		p.NumEvents, p.EventDurS, sim.CheckpointPolicy(p.Checkpoint), p.JitterPct,
+		p.NumEvents, p.EventDurS, engine.CheckpointPolicy(p.Checkpoint), p.JitterPct,
 		p.CapMF, p.BufCap, p.CapturePerMS)
 	if fs := p.FaultSpec(); fs.Enabled() {
 		s += " realism=" + fs.String()
@@ -272,7 +273,7 @@ func (p Params) SystemName() string { return systemNames[p.System] }
 // Config assembles the complete simulator configuration for the given
 // engine. Both engines must receive separately built configs (controllers
 // carry state), so callers invoke Config once per engine.
-func (p Params) Config(engine sim.EngineKind) (sim.Config, error) {
+func (p Params) Config(kind engine.Kind) (engine.Config, error) {
 	prof := p.profile()
 	app := prof.PersonDetectionApp()
 	period := float64(p.CapturePerMS) / 1000
@@ -302,24 +303,24 @@ func (p Params) Config(engine sim.EngineKind) (sim.Config, error) {
 		CapturePeriod: period,
 	})
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("simgen: %v: %w", p, err)
+		return engine.Config{}, fmt.Errorf("simgen: %v: %w", p, err)
 	}
 
 	store := energy.DefaultConfig()
 	store.Capacitance = float64(p.CapMF) / 1000
 
-	return sim.Config{
+	return engine.Config{
 		Profile:            prof,
 		App:                app,
 		Controller:         ctl,
 		Power:              power,
 		Events:             events,
 		Store:              store,
-		Engine:             engine,
+		Engine:             kind,
 		CapturePeriod:      period,
 		BufferCapacity:     p.BufCap,
 		Seed:               p.Seed + 1,
-		Checkpoint:         sim.CheckpointPolicy(p.Checkpoint),
+		Checkpoint:         engine.CheckpointPolicy(p.Checkpoint),
 		CheckpointInterval: 0.5,
 		TexeJitterOverride: float64(p.JitterPct) / 100,
 		Environment:        "simgen",
@@ -328,35 +329,31 @@ func (p Params) Config(engine sim.EngineKind) (sim.Config, error) {
 }
 
 // Run builds and executes the configuration under the given engine.
-func (p Params) Run(engine sim.EngineKind) (metrics.Results, error) {
-	cfg, err := p.Config(engine)
-	if err != nil {
-		return metrics.Results{}, err
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return metrics.Results{}, fmt.Errorf("simgen: %v: %w", p, err)
-	}
-	return s.Run()
+func (p Params) Run(kind engine.Kind) (metrics.Results, error) {
+	return p.run(kind, engine.ChecksAuto)
 }
 
-// RunUnchecked is Run with the invariant checker disabled (sim.ChecksOff) —
+// RunUnchecked is Run with the invariant checker disabled (engine.ChecksOff) —
 // the configuration under which the lockstep engine's crawl replay engages
 // (any registered observer forces the per-segment path). The three-way
 // differential oracle uses it for the lockstep arm so the comparison
 // exercises the fast path it certifies; the accounting identities are still
 // verified by the engine's own end-of-run Results.Check.
-func (p Params) RunUnchecked(engine sim.EngineKind) (metrics.Results, error) {
-	cfg, err := p.Config(engine)
+func (p Params) RunUnchecked(kind engine.Kind) (metrics.Results, error) {
+	return p.run(kind, engine.ChecksOff)
+}
+
+func (p Params) run(kind engine.Kind, checks engine.CheckMode) (metrics.Results, error) {
+	cfg, err := p.Config(kind)
 	if err != nil {
 		return metrics.Results{}, err
 	}
-	cfg.Checks = sim.ChecksOff
-	s, err := sim.New(cfg)
+	cfg.Checks = checks
+	m, err := engine.New(cfg)
 	if err != nil {
 		return metrics.Results{}, fmt.Errorf("simgen: %v: %w", p, err)
 	}
-	return s.Run()
+	return m.Run(context.Background())
 }
 
 // Shrink returns simpler neighbours of p, nearest-to-minimal first. A

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"quetzal/internal/sim"
+	"quetzal/internal/engine"
 )
 
 func TestRandomDeterministic(t *testing.T) {
@@ -65,7 +65,7 @@ func FuzzParams(f *testing.F) {
 		p.EventDurS = minEventDur
 		// Run with checks on (the default); an invariant violation or any
 		// other error here is a real bug in generator or simulator.
-		if _, err := p.Run(sim.EventDriven); err != nil {
+		if _, err := p.Run(engine.EventDriven); err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
 	})

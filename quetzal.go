@@ -59,6 +59,7 @@ import (
 	"quetzal/internal/core"
 	"quetzal/internal/device"
 	"quetzal/internal/energy"
+	"quetzal/internal/engine"
 	"quetzal/internal/host"
 	"quetzal/internal/metrics"
 	"quetzal/internal/model"
@@ -234,49 +235,47 @@ func GenerateEvents(cfg EventConfig) *EventTrace { return trace.GenerateEvents(c
 // Simulation (§6.3).
 type (
 	// SimConfig describes one simulation run.
-	SimConfig = sim.Config
-	// Simulator is the device simulator: a facade over the engine's device
-	// state machine with a selectable time-advance stepper (EngineKind).
+	SimConfig = engine.Config
+	// Simulator is the device simulator: the engine's device state machine
+	// under the time-advance loop SimConfig.Engine selects.
 	Simulator = sim.Simulator
 	// Results is the metrics accounting a run produces.
 	Results = metrics.Results
 	// StoreConfig describes the supercapacitor energy store.
 	StoreConfig = energy.StoreConfig
 	// CheckpointPolicy selects the intermittent-computing progress model.
-	CheckpointPolicy = sim.CheckpointPolicy
-	// EngineKind selects the simulator's time-advance stepper.
-	EngineKind = sim.EngineKind
+	CheckpointPolicy = engine.CheckpointPolicy
+	// EngineKind selects the simulator's time-advance loop.
+	EngineKind = engine.Kind
 	// CheckMode toggles the runtime invariant checker.
-	CheckMode = sim.CheckMode
+	CheckMode = engine.CheckMode
 )
 
 // Simulation engines for SimConfig.Engine.
 const (
 	// FixedIncrement is the paper's 1 ms stepper (reference semantics).
-	FixedIncrement = sim.FixedIncrement
+	FixedIncrement = engine.FixedIncrement
 	// EventDriven is the validated fast path (~100x faster).
-	EventDriven = sim.EventDriven
+	EventDriven = engine.EventDriven
 )
 
 // Invariant-checker modes for SimConfig.Checks.
 const (
 	// ChecksAuto (default) runs the invariant checker every step.
-	ChecksAuto = sim.ChecksAuto
+	ChecksAuto = engine.ChecksAuto
 	// ChecksOff disables invariant checking (benchmarks).
-	ChecksOff = sim.ChecksOff
-	// ChecksOn enables it explicitly.
-	ChecksOn = sim.ChecksOn
+	ChecksOff = engine.ChecksOff
 )
 
 // Checkpoint policies for SimConfig.Checkpoint.
 const (
 	// JITCheckpoint preserves progress exactly across power failures (the
 	// paper's model).
-	JITCheckpoint = sim.JITCheckpoint
+	JITCheckpoint = engine.JITCheckpoint
 	// NoCheckpoint restarts the interrupted task from scratch.
-	NoCheckpoint = sim.NoCheckpoint
+	NoCheckpoint = engine.NoCheckpoint
 	// PeriodicCheckpoint rolls back to the last periodic snapshot.
-	PeriodicCheckpoint = sim.PeriodicCheckpoint
+	PeriodicCheckpoint = engine.PeriodicCheckpoint
 )
 
 // NewSimulator validates cfg and builds a simulator.
