@@ -77,6 +77,17 @@ func parseSizes(s string) ([]int, error) {
 	return out, nil
 }
 
+// aggregateDigest is aggregate_sha256: the sha256 of the marshaled
+// Aggregate.
+func aggregateDigest(agg *fleet.Aggregate) (string, error) {
+	b, err := json.Marshal(agg)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
 func main() {
 	var (
 		sizes    = flag.String("sizes", "10000,100000,1000000", "comma-separated fleet sizes to measure")
@@ -170,12 +181,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
 			os.Exit(1)
 		}
-		b, err := json.Marshal(agg)
+		digest, err := aggregateDigest(agg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
 			os.Exit(1)
 		}
-		sum := sha256.Sum256(b)
 		file.Runs = append(file.Runs, sizeRun{
 			Devices:         stats.Devices,
 			Shards:          stats.Shards,
@@ -183,7 +193,7 @@ func main() {
 			DevicesPerSec:   stats.DevicesPerSec,
 			PeakHeapBytes:   stats.PeakHeapBytes,
 			PeakHeapMiB:     float64(stats.PeakHeapBytes) / (1 << 20),
-			AggregateSHA256: hex.EncodeToString(sum[:]),
+			AggregateSHA256: digest,
 		})
 		fmt.Fprintf(os.Stderr, "fleetbench: %d devices in %.1fs (%.0f devices/s, peak heap %.1f MiB)\n",
 			stats.Devices, stats.ElapsedSec, stats.DevicesPerSec, float64(stats.PeakHeapBytes)/(1<<20))

@@ -9,6 +9,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrEmpty is returned when removing from an empty buffer.
@@ -172,10 +173,9 @@ func (b *Buffer) PendingForJob(jobID int) int {
 // first-seen (FIFO) order.
 func (b *Buffer) JobIDs() []int {
 	var ids []int
-	seen := map[int]bool{}
 	for _, in := range b.items {
-		if !seen[in.JobID] {
-			seen[in.JobID] = true
+		// Apps have a handful of jobs: a linear scan beats a seen-map.
+		if !slices.Contains(ids, in.JobID) {
 			ids = append(ids, in.JobID)
 		}
 	}

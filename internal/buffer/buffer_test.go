@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,45 @@ func TestPropertyDropSplit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestJobIDsInterleavedFirstAppearance(t *testing.T) {
+	b := New(10)
+	for i, id := range []int{2, 0, 2, 1, 0, 1, 2, 5} {
+		b.Push(Input{Seq: uint64(i), CapturedAt: float64(10 - i), JobID: id}, false)
+	}
+	if ids := b.JobIDs(); !reflect.DeepEqual(ids, []int{2, 0, 1, 5}) {
+		t.Errorf("JobIDs = %v, want [2 0 1 5] (first-appearance order, not capture order)", ids)
+	}
+}
+
+var jobIDsSink []int
+
+// TestJobIDsAllocatesOnlyResult: JobIDs allocates exactly what appending its
+// result one ID at a time does, with no seen-set on top, even past the size
+// where a map would spill to the heap.
+func TestJobIDsAllocatesOnlyResult(t *testing.T) {
+	b := New(32)
+	var want []int
+	for i := 0; i < 24; i++ {
+		id := (i * 7) % 12 // 12 distinct IDs, each seen twice, interleaved
+		b.Push(Input{Seq: uint64(i), JobID: id}, false)
+		if i < 12 {
+			want = append(want, id)
+		}
+	}
+	if ids := b.JobIDs(); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("JobIDs = %v, want %v", ids, want)
+	}
+	growth := testing.AllocsPerRun(100, func() {
+		var s []int
+		for _, id := range want {
+			s = append(s, id)
+		}
+		jobIDsSink = s
+	})
+	if allocs := testing.AllocsPerRun(100, func() { jobIDsSink = b.JobIDs() }); allocs != growth {
+		t.Errorf("JobIDs allocates %.1f per call, want %.1f (the result slice only)", allocs, growth)
 	}
 }

@@ -164,6 +164,8 @@ type Runtime struct {
 	cfg    Config
 	app    *model.App
 	policy sched.Policy
+	est    sched.Estimator // the configured S_e2e estimator, built once
+	engine *ibo.Engine     // Algorithm 2 with its per-decision scratch
 
 	module   *circuit.Module
 	seTables map[int][][]circuit.SeTable // jobID → task → option
@@ -179,6 +181,8 @@ type Runtime struct {
 	avg map[[2]int]float64 // (jobID, taskIdx) → EWMA seconds
 
 	lastFeedback float64 // time of the previous OnJobComplete (PID dt)
+
+	spawnProb func(jobID int) float64 // SpawnProbability, bound once
 }
 
 // New builds a Runtime and runs the profiling phase: every task option's
@@ -221,7 +225,10 @@ func New(cfg Config) (*Runtime, error) {
 		arrival:  window.NewRateTracker(cfg.ArrivalWindow, cfg.CapturePeriod, 0.5),
 		ctrl:     pid.New(cfg.PID),
 		avg:      map[[2]int]float64{},
+		engine:   ibo.NewEngine(cfg.App),
 	}
+	r.est = r.estimator()
+	r.spawnProb = r.SpawnProbability
 
 	// Profiling phase: record V_D2 (execution-power code) per option and
 	// pre-multiply its t_exe table.
@@ -314,8 +321,7 @@ func (r *Runtime) NextJob(env Env, buf *buffer.Buffer) (Decision, bool) {
 	r.pin = env.InputPower
 	r.d1 = r.module.CodeForPower(env.InputPower)
 
-	est := r.estimator()
-	sd := r.policy.Select(r.app, buf, est)
+	sd := r.policy.Select(r.app, buf, r.est)
 	if sd.BufferIndex < 0 {
 		return Decision{BufferIndex: -1, JobID: -1}, false
 	}
@@ -332,14 +338,14 @@ func (r *Runtime) NextJob(env Env, buf *buffer.Buffer) (Decision, bool) {
 	}
 
 	free := env.BufferCap - env.BufferLen
-	id := ibo.Decide(job, ibo.Input{
+	id := r.engine.Decide(job, ibo.Input{
 		App:        r.app,
-		Est:        est,
+		Est:        r.est,
 		Lambda:     r.arrival.Lambda(),
 		FreeSlots:  free,
 		Capacity:   env.BufferCap,
 		Correction: r.Correction(),
-		SpawnProb:  r.SpawnProbability,
+		SpawnProb:  r.spawnProb,
 	})
 	dec.IBOPredicted = id.IBOPredicted
 	dec.IBOAverted = id.Averted
@@ -348,7 +354,7 @@ func (r *Runtime) NextJob(env Env, buf *buffer.Buffer) (Decision, bool) {
 		dec.Options[di] = id.OptionIdx
 		dec.Degraded = true
 	}
-	dec.ModelS = sched.ExpectedService(job, est, func(ti int) int { return dec.Options[ti] })
+	dec.ModelS = sched.ExpectedService(job, r.est, func(ti int) int { return dec.Options[ti] })
 	return dec, true
 }
 
@@ -421,7 +427,7 @@ func (r *Runtime) RatioOps() (int, bool) {
 	return n + maxOpts, r.cfg.Kind == HardwareModule
 }
 
-// estimator returns the sched.Estimator for the configured kind.
+// estimator builds the sched.Estimator for the configured kind.
 func (r *Runtime) estimator() sched.Estimator {
 	switch r.cfg.Kind {
 	case ExactDivision:

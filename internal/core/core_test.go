@@ -382,3 +382,48 @@ func TestAveragedEstimatorScalesOptionsByTexe(t *testing.T) {
 		t.Errorf("avg option scaling = %g, want ≈ %g", got, wantRatio)
 	}
 }
+
+// nextJobCase is a qz/apollo4 runtime facing a mixed detect/report buffer at
+// 8/10 occupancy under low input power, so every NextJob runs Energy-aware
+// SJF over both jobs and then Algorithm 2 past the utilization gate.
+func nextJobCase(t testing.TB) (*Runtime, Env, *buffer.Buffer) {
+	r, err := New(Config{App: device.Apollo4().PersonDetectionApp(), CapturePeriod: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		r.ObserveCapture(i%2 == 0) // λ = 0.5/s
+	}
+	buf := buffer.New(10)
+	for i := 0; i < 8; i++ {
+		job := device.DetectJobID
+		if i%3 == 1 {
+			job = device.ReportJobID
+		}
+		buf.Push(buffer.Input{Seq: uint64(i), CapturedAt: float64(i), JobID: job}, false)
+	}
+	return r, Env{Now: 100, InputPower: 0.002, BufferLen: buf.Len(), BufferCap: buf.Capacity()}, buf
+}
+
+// TestNextJobAllocs pins the decision path's allocations to the one the
+// caller keeps: the returned Options slice.
+func TestNextJobAllocs(t *testing.T) {
+	r, env, buf := nextJobCase(t)
+	if dec, ok := r.NextJob(env, buf); !ok || !dec.IBOPredicted {
+		t.Fatalf("decision = %+v (ok %v), want the IBO path engaged", dec, ok)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.NextJob(env, buf) }); allocs > 1 {
+		t.Errorf("NextJob allocates %.2f per call, want at most 1 (the Options slice)", allocs)
+	}
+}
+
+var decisionSink Decision
+
+func BenchmarkRuntimeNextJob(b *testing.B) {
+	r, env, buf := nextJobCase(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decisionSink, _ = r.NextJob(env, buf)
+	}
+}

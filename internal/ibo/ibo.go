@@ -31,6 +31,12 @@
 // exactly the "degrade only as much as required" contract of §4.2. If no
 // assignment stabilises the queue, every job runs its lowest-S_e2e option
 // "in order to reduce E[N]".
+//
+// The runtime evaluates this at every scheduling point, so it keeps one
+// Engine per app: NewEngine lays the app out once, and Engine.Decide
+// reuses its scratch (a reach vector, an E[S] memo, the plan) without
+// allocating. The chain-wide plan is internal to the engine; a Decision
+// reports only the scheduled job's option.
 package ibo
 
 import (
@@ -74,64 +80,154 @@ type Decision struct {
 	// ExpectedS is the scheduled job's E[S] at the chosen quality,
 	// including the PID correction.
 	ExpectedS float64
-	// Plan is the chain-wide quality assignment (jobID → option index for
-	// that job's degradable task).
-	Plan map[int]int
 }
 
-// Decide runs the engine for the scheduled job.
-func Decide(job *model.Job, in Input) Decision {
-	plan, _ := resolvePlan(in)
+// Decide runs the engine once for the scheduled job. Callers that decide
+// repeatedly for one app keep an Engine instead.
+func Decide(job *model.Job, in Input) Decision { return NewEngine(in.App).Decide(job, in) }
 
-	esBest := jobES(in, job, 0)
-	esPlanned := jobES(in, job, plannedOpt(plan, job))
+// jobInfo is one job's precomputed layout, indexed by its position in
+// App.Jobs.
+type jobInfo struct {
+	job   *model.Job
+	deg   int // degradable task index, -1 if none
+	opts  int // options of the degradable task (1 if none)
+	spawn int // position of the spawn target, -1 if none
+	memo  int // offset of the job's options in the E[S] memo
+}
 
-	d := Decision{
-		OptionIdx: plannedOpt(plan, job),
-		ExpectedS: esPlanned,
-		Plan:      plan,
+// Engine evaluates Algorithm 2 for one app. NewEngine precomputes the app's
+// layout (job positions, degradable tasks, spawn targets, the leaves-first
+// order); Decide reuses per-decision scratch, so a warm Engine allocates
+// nothing. Within one decision Est, Correction, λ and the spawn
+// probabilities are fixed, so each job's reach and each (job, option) E[S]
+// is computed at most once. An Engine is not safe for concurrent use, and it
+// snapshots the app's shape: rebuild it if jobs, tasks or options change.
+type Engine struct {
+	app   *model.App
+	jobs  []jobInfo
+	order []int // leaves-first positions (spawn targets before spawners)
+	entry int   // position of the entry job, -1 if undefined
+
+	// Per-decision scratch.
+	in      Input
+	reach   []float64 // by position; valid when reachOK
+	reachOK bool
+	es      []float64 // E[S] memo, jobs[p].memo+opt; valid where esOK
+	esOK    []bool
+	plan    []int // option per position for the degradable task
+}
+
+// NewEngine builds the engine for app, which must have unique job IDs (as
+// model.App.Validate enforces).
+func NewEngine(app *model.App) *Engine {
+	e := &Engine{app: app, jobs: make([]jobInfo, len(app.Jobs))}
+	pos := func(id int) int {
+		for p, j := range app.Jobs {
+			if j.ID == id {
+				return p
+			}
+		}
+		return -1
+	}
+	memo := 0
+	for p, j := range app.Jobs {
+		ji := jobInfo{job: j, deg: j.DegradableTask(), opts: 1, spawn: -1, memo: memo}
+		if ji.deg >= 0 {
+			ji.opts = len(j.Tasks[ji.deg].Options)
+		}
+		if j.SpawnJobID != model.NoSpawn {
+			ji.spawn = pos(j.SpawnJobID)
+		}
+		e.jobs[p] = ji
+		memo += ji.opts
+	}
+	e.entry = pos(app.EntryJobID)
+
+	// Leaves-first: a post-order walk of the entry chain puts spawn targets
+	// before their spawners; jobs it misses follow in definition order.
+	seen := make([]bool, len(app.Jobs))
+	var walk func(p int)
+	walk = func(p int) {
+		if p < 0 || seen[p] {
+			return
+		}
+		seen[p] = true
+		walk(e.jobs[p].spawn)
+		e.order = append(e.order, p)
+	}
+	walk(e.entry)
+	for p := range app.Jobs {
+		walk(p)
 	}
 
-	bestOverflow := burstOverflow(in, esBest) || !utilizationOK(in, assignment{})
-	if !bestOverflow {
+	e.reach = make([]float64, len(app.Jobs))
+	e.es = make([]float64, memo)
+	e.esOK = make([]bool, memo)
+	e.plan = make([]int, len(app.Jobs))
+	return e
+}
+
+// Decide runs the engine for the scheduled job, which must be one of the
+// engine app's jobs; in.App must be the engine's app.
+func (e *Engine) Decide(job *model.Job, in Input) Decision {
+	if in.App != e.app {
+		panic("ibo: Engine.Decide input for a different app")
+	}
+	e.begin(in)
+	p := e.position(job)
+	esBest := e.jobES(p, 0)
+	if !burstOverflow(in, esBest) && e.stable() {
 		// No overflow at full quality: run the job undegraded.
-		d.OptionIdx = 0
-		d.ExpectedS = esBest
-		d.Plan = map[int]int{}
-		return d
+		return Decision{ExpectedS: esBest}
 	}
-	d.IBOPredicted = true
+	e.resolvePlan()
 
+	ji := &e.jobs[p]
+	if ji.deg < 0 {
+		// No degradable task: the prediction stands, quality is fixed.
+		return Decision{IBOPredicted: true, ExpectedS: esBest}
+	}
 	// Escalate the scheduled job past the planned option until the burst
 	// check clears, preferring the highest quality that does.
-	di := job.DegradableTask()
-	if di >= 0 {
-		for opt := d.OptionIdx; opt < len(job.Tasks[di].Options); opt++ {
-			es := jobES(in, job, opt)
-			if !burstOverflow(in, es) {
-				d.OptionIdx = opt
-				d.ExpectedS = es
-				// The imminent (burst) overflow is averted at this option;
-				// long-run stability is the plan's concern.
-				d.Averted = true
-				return d
-			}
+	for opt := e.plan[p]; opt < ji.opts; opt++ {
+		if es := e.jobES(p, opt); !burstOverflow(in, es) {
+			// The imminent (burst) overflow is averted at this option;
+			// long-run stability is the plan's concern.
+			return Decision{IBOPredicted: true, Averted: true, OptionIdx: opt, ExpectedS: es}
 		}
-		// Nothing clears the burst check: lowest S_e2e reduces E[N].
-		lowest, lowestES := 0, jobES(in, job, 0)
-		for opt := 1; opt < len(job.Tasks[di].Options); opt++ {
-			if es := jobES(in, job, opt); es < lowestES {
-				lowest, lowestES = opt, es
-			}
-		}
-		d.OptionIdx = lowest
-		d.ExpectedS = lowestES
-		return d
 	}
-	// No degradable task: the prediction stands, quality is fixed.
-	d.OptionIdx = 0
-	d.ExpectedS = esBest
-	return d
+	// Nothing clears the burst check: lowest S_e2e reduces E[N].
+	lowest := e.cheapestOpt(p)
+	return Decision{IBOPredicted: true, OptionIdx: lowest, ExpectedS: e.jobES(p, lowest)}
+}
+
+// begin resets the per-decision scratch for a new input.
+func (e *Engine) begin(in Input) {
+	e.in = in
+	e.reachOK = false
+	clear(e.esOK)
+	clear(e.plan)
+}
+
+// position returns the scheduled job's index in App.Jobs.
+func (e *Engine) position(job *model.Job) int {
+	for p := range e.jobs {
+		if e.jobs[p].job == job {
+			return p
+		}
+	}
+	panic("ibo: scheduled job " + job.Name + " is not in the engine's app")
+}
+
+// jobES is the memoised jobES of the job at position p.
+func (e *Engine) jobES(p, opt int) float64 {
+	i := e.jobs[p].memo + opt
+	if !e.esOK[i] {
+		e.es[i] = jobES(e.in, e.jobs[p].job, opt)
+		e.esOK[i] = true
+	}
+	return e.es[i]
 }
 
 // burstOverflow is Algorithm 2 line 6: λ·E[S] ≥ free slots.
@@ -170,21 +266,26 @@ func (in Input) spawnProb(jobID int) float64 {
 	return p
 }
 
-// reachProbs computes, for every job, the probability that an arriving
+// reachProbs fills e.reach: for every job, the probability that an arriving
 // input eventually requires it, following spawn edges from the entry job.
-func reachProbs(in Input) map[int]float64 {
-	reach := map[int]float64{in.App.EntryJobID: 1}
+// Unreached jobs stay 0.
+func (e *Engine) reachProbs() {
+	clear(e.reach)
+	if e.entry >= 0 {
+		e.reach[e.entry] = 1
+	}
 	// Spawn chains are acyclic and short; walk until fixpoint.
-	for i := 0; i < len(in.App.Jobs); i++ {
+	for i := 0; i < len(e.jobs); i++ {
 		changed := false
-		for _, j := range in.App.Jobs {
-			r, ok := reach[j.ID]
-			if !ok || j.SpawnJobID == model.NoSpawn {
+		for p := range e.jobs {
+			ji := &e.jobs[p]
+			r := e.reach[p]
+			if r == 0 || ji.spawn < 0 {
 				continue
 			}
-			contrib := r * in.spawnProb(j.ID)
-			if contrib > reach[j.SpawnJobID] {
-				reach[j.SpawnJobID] = contrib
+			contrib := r * e.in.spawnProb(ji.job.ID)
+			if contrib > e.reach[ji.spawn] {
+				e.reach[ji.spawn] = contrib
 				changed = true
 			}
 		}
@@ -192,119 +293,83 @@ func reachProbs(in Input) map[int]float64 {
 			break
 		}
 	}
-	return reach
+	e.reachOK = true
 }
 
-// assignment maps jobID → option index for that job's degradable task.
-type assignment map[int]int
-
-func plannedOpt(a assignment, job *model.Job) int {
-	if opt, ok := a[job.ID]; ok {
-		return opt
+// utilization computes ρ = λ · Σ reach(job)·E[S](job@plan), summing in
+// App.Jobs order.
+func (e *Engine) utilization() float64 {
+	if !e.reachOK {
+		e.reachProbs()
 	}
-	return 0
-}
-
-// utilization computes ρ = λ · Σ reach(job)·E[S](job@assignment).
-func (in Input) utilization(a assignment) float64 {
-	reach := reachProbs(in)
 	total := 0.0
-	for _, j := range in.App.Jobs {
-		r := reach[j.ID]
+	for p := range e.jobs {
+		r := e.reach[p]
 		if r == 0 {
 			continue
 		}
-		total += r * jobES(in, j, plannedOpt(a, j))
+		total += r * e.jobES(p, e.plan[p])
 	}
-	return queueing.Utilization(in.Lambda, total)
+	return queueing.Utilization(e.in.Lambda, total)
 }
 
-// utilizationOK reports whether the assignment keeps the queue stable.
-// Below the occupancy gate the check passes trivially: the buffer still has
-// slack to absorb a finite burst even if ρ ≥ 1.
-func utilizationOK(in Input, a assignment) bool {
-	occupancy := in.Capacity - in.FreeSlots
-	if in.Capacity > 0 && occupancy*5 < in.Capacity {
+// stable reports whether the current plan keeps the queue stable. Below the
+// occupancy gate the check passes trivially: the buffer still has slack to
+// absorb a finite burst even if ρ ≥ 1.
+func (e *Engine) stable() bool {
+	occupancy := e.in.Capacity - e.in.FreeSlots
+	if e.in.Capacity > 0 && occupancy*5 < e.in.Capacity {
 		return true
 	}
-	return in.utilization(a) < 1
+	return e.utilization() < 1
 }
 
-// resolvePlan picks the chain-wide quality assignment: jobs are visited
-// leaves-first (deepest spawn first) and each takes the highest-quality
-// option that keeps ρ < 1 given what is already resolved. Returns the plan
-// and whether a stable assignment exists; when none does, every degradable
-// job is pinned to its lowest-S_e2e option.
-func resolvePlan(in Input) (assignment, bool) {
-	plan := assignment{}
-	if utilizationOK(in, plan) {
-		return plan, true // full quality is sustainable
+// resolvePlan picks the chain-wide quality assignment in e.plan, which
+// begin zeroed: jobs are visited leaves-first (deepest spawn first) and each
+// takes the highest-quality option that keeps ρ < 1 given what is already
+// resolved. Reports whether a stable assignment exists; when none does,
+// every degradable job is pinned to its lowest-S_e2e option.
+func (e *Engine) resolvePlan() bool {
+	if e.stable() {
+		return true // full quality is sustainable
 	}
-
-	order := leavesFirst(in.App)
 	// Start from the most degraded state, then raise each job (leaves
 	// first) to the best quality that keeps the system stable.
-	for _, j := range order {
-		if di := j.DegradableTask(); di >= 0 {
-			plan[j.ID] = cheapestOpt(in, j)
+	for _, p := range e.order {
+		if e.jobs[p].deg >= 0 {
+			e.plan[p] = e.cheapestOpt(p)
 		}
 	}
-	if !utilizationOK(in, plan) {
-		return plan, false // even fully degraded the queue diverges
+	if !e.stable() {
+		return false // even fully degraded the queue diverges
 	}
-	for _, j := range order {
-		di := j.DegradableTask()
-		if di < 0 {
+	for _, p := range e.order {
+		ji := &e.jobs[p]
+		if ji.deg < 0 {
 			continue
 		}
-		for opt := 0; opt < len(j.Tasks[di].Options); opt++ {
-			trial := assignment{}
-			for k, v := range plan {
-				trial[k] = v
-			}
-			trial[j.ID] = opt
-			if utilizationOK(in, trial) {
-				plan[j.ID] = opt
+		// Trial each option in place, restoring the resolved one if none
+		// keeps the queue stable.
+		resolved := e.plan[p]
+		for opt := 0; opt < ji.opts; opt++ {
+			e.plan[p] = opt
+			if e.stable() {
+				resolved = opt
 				break
 			}
 		}
+		e.plan[p] = resolved
 	}
-	return plan, true
+	return true
 }
 
 // cheapestOpt returns the option index minimising the job's E[S].
-func cheapestOpt(in Input, job *model.Job) int {
-	di := job.DegradableTask()
-	best, bestES := 0, jobES(in, job, 0)
-	for opt := 1; opt < len(job.Tasks[di].Options); opt++ {
-		if es := jobES(in, job, opt); es < bestES {
+func (e *Engine) cheapestOpt(p int) int {
+	best, bestES := 0, e.jobES(p, 0)
+	for opt := 1; opt < e.jobs[p].opts; opt++ {
+		if es := e.jobES(p, opt); es < bestES {
 			best, bestES = opt, es
 		}
 	}
 	return best
-}
-
-// leavesFirst orders jobs so that spawn targets come before their spawners
-// (deepest first), starting from the entry chain; unreachable jobs follow in
-// definition order.
-func leavesFirst(app *model.App) []*model.Job {
-	var order []*model.Job
-	seen := map[int]bool{}
-	var walk func(j *model.Job)
-	walk = func(j *model.Job) {
-		if j == nil || seen[j.ID] {
-			return
-		}
-		seen[j.ID] = true
-		if j.SpawnJobID != model.NoSpawn {
-			walk(app.JobByID(j.SpawnJobID))
-		}
-		// Post-order: the spawn target lands before the spawner.
-		order = append(order, j)
-	}
-	walk(app.JobByID(app.EntryJobID))
-	for _, j := range app.Jobs {
-		walk(j)
-	}
-	return order
 }

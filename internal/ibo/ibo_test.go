@@ -50,6 +50,26 @@ func chainApp() *model.App {
 	}
 }
 
+// decide runs a fresh Engine for the scheduled job and returns its decision
+// with the plan it left behind.
+func decide(job *model.Job, in Input) (Decision, assignment) {
+	e := NewEngine(in.App)
+	d := e.Decide(job, in)
+	return d, e.resolved()
+}
+
+// resolved returns the engine's current plan as jobID → option index. Jobs at
+// option 0 are omitted, so a plan that degrades nothing is empty.
+func (e *Engine) resolved() assignment {
+	a := assignment{}
+	for p, opt := range e.plan {
+		if opt != 0 {
+			a[e.jobs[p].job.ID] = opt
+		}
+	}
+	return a
+}
+
 func input(app *model.App, est *fakeEstimator, lambda float64, free, capacity int, corr float64) Input {
 	return Input{App: app, Est: est, Lambda: lambda, FreeSlots: free, Capacity: capacity, Correction: corr}
 }
@@ -58,12 +78,12 @@ func TestNoIBOWhenIdle(t *testing.T) {
 	app := chainApp()
 	est := &fakeEstimator{}
 	// λ tiny, buffer nearly empty: no prediction, highest quality.
-	d := Decide(app.JobByID(0), input(app, est, 0.05, 9, 10, 0))
+	d, plan := decide(app.JobByID(0), input(app, est, 0.05, 9, 10, 0))
 	if d.IBOPredicted || d.OptionIdx != 0 {
 		t.Errorf("decision = %+v, want no IBO at full quality", d)
 	}
-	if len(d.Plan) != 0 {
-		t.Errorf("plan = %v, want empty (no degradation)", d.Plan)
+	if len(plan) != 0 {
+		t.Errorf("plan = %v, want empty (no degradation)", plan)
 	}
 }
 
@@ -95,15 +115,15 @@ func TestUtilizationDetectsDivergence(t *testing.T) {
 		{1, 0, 0}: 0.2,
 		{1, 1, 0}: 0.8, {1, 1, 1}: 0.3, {1, 1, 2}: 0.05,
 	}}
-	d := Decide(app.JobByID(0), input(app, est, 1, 6, 10, 0))
+	d, plan := decide(app.JobByID(0), input(app, est, 1, 6, 10, 0))
 	if !d.IBOPredicted {
 		t.Fatal("utilization divergence not predicted")
 	}
 	// The plan degrades the radio first (leaves-first); with the radio at
 	// byte quality, ρ = 1·(2 + 0.2 + 0.05) = 2.25 ≥ 1, so the ML degrades
 	// too: ρ = 0.2+0.25 = 0.45 < 1.
-	if d.Plan[1] == 0 {
-		t.Errorf("plan = %v, want report radio degraded", d.Plan)
+	if plan[1] == 0 {
+		t.Errorf("plan = %v, want report radio degraded", plan)
 	}
 	if d.OptionIdx == 0 {
 		t.Errorf("detect not degraded despite ρ ≥ 1 at ML HQ: %+v", d)
@@ -120,15 +140,15 @@ func TestLeavesFirstPrefersRadioDegradation(t *testing.T) {
 		{1, 0, 0}: 0.2,
 		{1, 1, 0}: 0.8, {1, 1, 1}: 0.3, {1, 1, 2}: 0.05,
 	}}
-	d := Decide(app.JobByID(0), input(app, est, 1, 5, 10, 0))
+	d, plan := decide(app.JobByID(0), input(app, est, 1, 5, 10, 0))
 	if !d.IBOPredicted {
 		t.Fatal("no prediction despite ρ = 1.4 at full quality")
 	}
 	if d.OptionIdx != 0 {
 		t.Errorf("ML degraded to %d, want 0 (radio degradation suffices)", d.OptionIdx)
 	}
-	if d.Plan[1] != 1 {
-		t.Errorf("plan = %v, want radio at option 1 (highest stable quality)", d.Plan)
+	if plan[1] != 1 {
+		t.Errorf("plan = %v, want radio at option 1 (highest stable quality)", plan)
 	}
 }
 
@@ -267,23 +287,26 @@ func TestReachProbsChain(t *testing.T) {
 	app := chainApp()
 	in := input(app, &fakeEstimator{}, 1, 5, 10, 0)
 	in.SpawnProb = func(jobID int) float64 { return 0.4 }
-	reach := reachProbs(in)
-	if reach[0] != 1 {
-		t.Errorf("entry reach = %g, want 1", reach[0])
+	e := NewEngine(app)
+	e.begin(in)
+	e.reachProbs()
+	// chainApp's job positions equal its job IDs.
+	if e.reach[0] != 1 {
+		t.Errorf("entry reach = %g, want 1", e.reach[0])
 	}
-	if reach[1] != 0.4 {
-		t.Errorf("spawned reach = %g, want 0.4", reach[1])
+	if e.reach[1] != 0.4 {
+		t.Errorf("spawned reach = %g, want 0.4", e.reach[1])
 	}
 }
 
 func TestLeavesFirstOrder(t *testing.T) {
 	app := chainApp()
-	order := leavesFirst(app)
-	if len(order) != 2 || order[0].ID != 1 || order[1].ID != 0 {
-		ids := []int{}
-		for _, j := range order {
-			ids = append(ids, j.ID)
-		}
+	e := NewEngine(app)
+	ids := []int{}
+	for _, p := range e.order {
+		ids = append(ids, e.jobs[p].job.ID)
+	}
+	if len(ids) != 2 || ids[0] != 1 || ids[1] != 0 {
 		t.Errorf("order = %v, want [1 0] (spawn target first)", ids)
 	}
 }

@@ -78,7 +78,10 @@ func TestResolvePlanUnstablePinsCheapest(t *testing.T) {
 		{1, 1, 0}: 50, {1, 1, 1}: 30, {1, 1, 2}: 20,
 	}}
 	in := input(app, est, 1, 2, 10, 0)
-	plan, stable := resolvePlan(in)
+	e := NewEngine(app)
+	e.begin(in)
+	stable := e.resolvePlan()
+	plan := e.resolved()
 	if stable {
 		t.Fatal("system reported stable at ρ ≫ 1")
 	}

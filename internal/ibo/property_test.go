@@ -14,7 +14,7 @@ package ibo
 //	P3  if nothing clears, it falls back to the argmin-E[S] option ("in
 //	    order to reduce E[N]")
 //	P4  no prediction → no degradation, and the plan is empty
-//	P5  resolvePlan returns a stable assignment whenever one exists
+//	P5  Engine.resolvePlan returns a stable assignment whenever one exists
 //	    (checked by exhaustive enumeration of the option space)
 
 import (
@@ -76,7 +76,7 @@ func randomReactorCase(rng *rand.Rand) (*model.App, Input) {
 // checkReactorProperties verifies P1–P4 for the entry job of one case.
 func checkReactorProperties(app *model.App, in Input) error {
 	job := app.JobByID(app.EntryJobID)
-	d := Decide(job, in)
+	d, plan := decide(job, in)
 
 	di := job.DegradableTask()
 	numOpts := len(job.Tasks[di].Options)
@@ -92,8 +92,8 @@ func checkReactorProperties(app *model.App, in Input) error {
 		if d.OptionIdx != 0 {
 			return fmt.Errorf("no prediction but degraded to option %d", d.OptionIdx)
 		}
-		if len(d.Plan) != 0 {
-			return fmt.Errorf("no prediction but non-empty plan %v", d.Plan)
+		if len(plan) != 0 {
+			return fmt.Errorf("no prediction but non-empty plan %v", plan)
 		}
 		if burstOverflow(in, jobES(in, job, 0)) {
 			return fmt.Errorf("burst check fires at full quality but IBOPredicted is false")
@@ -102,7 +102,7 @@ func checkReactorProperties(app *model.App, in Input) error {
 	}
 
 	// The escalation scan starts at the plan's option for this job.
-	start := plannedOpt(d.Plan, job)
+	start := plannedOpt(plan, job)
 	clearing := -1 // highest-quality option at/past the plan that clears
 	for opt := start; opt < numOpts; opt++ {
 		if !burstOverflow(in, jobES(in, job, opt)) {
@@ -168,7 +168,7 @@ func TestReactorSeededRegressions(t *testing.T) {
 
 // TestResolvePlanProperties checks P5: whenever *some* assignment keeps
 // ρ < 1 (verified by exhaustively enumerating the whole option space, which
-// is tiny by the §5.1 limits), resolvePlan must find a stable one; and
+// is tiny by the §5.1 limits), Engine.resolvePlan must find a stable one; and
 // whatever plan it returns must itself be stable.
 func TestResolvePlanProperties(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
@@ -177,7 +177,11 @@ func TestResolvePlanProperties(t *testing.T) {
 		// Force the occupancy gate open so utilizationOK really tests ρ.
 		in.FreeSlots = 0
 
-		plan, ok := resolvePlan(in)
+		e := NewEngine(app)
+		e.begin(in)
+		ok := e.resolvePlan()
+		plan := e.resolved()
+		// The reference evaluator judges the engine's plan.
 		if ok && !utilizationOK(in, plan) {
 			t.Fatalf("seed %d: resolvePlan returned ok with unstable plan %v (ρ = %g)", seed, plan, in.utilization(plan))
 		}

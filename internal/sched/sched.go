@@ -14,6 +14,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 
 	"quetzal/internal/buffer"
 	"quetzal/internal/model"
@@ -77,7 +78,18 @@ func (EnergySJF) Select(app *model.App, buf *buffer.Buffer, est Estimator) Decis
 	best := none
 	bestES := math.Inf(1)
 	bestAge := math.Inf(1) // CapturedAt of the candidate input; older wins ties
-	for _, jobID := range buf.JobIDs() {
+	// Candidates are the distinct buffered job IDs in first-appearance
+	// order (buf.JobIDs' order, without its allocation). A valid app has at
+	// most MaxTasks jobs, so the seen set stays on the stack.
+	var seenArr [model.MaxTasks]int
+	seen := seenArr[:0]
+	for i := 0; i < buf.Len(); i++ {
+		head, _ := buf.At(i)
+		jobID := head.JobID
+		if slices.Contains(seen, jobID) {
+			continue
+		}
+		seen = append(seen, jobID)
 		job := app.JobByID(jobID)
 		if job == nil {
 			continue // stale tag; let other jobs proceed
